@@ -54,12 +54,11 @@ bench-compare:
 
 # Seed-corpus fuzz smoke: the wire formats (protocol envelope codec, TCP
 # frame decoder) and the fast-inference numerics (GEMM kernels vs the
-# naive multiply, int8 quantize/dequantize round-trip).
+# naive multiply).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecode -fuzztime 30s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzGEMM -fuzztime 30s ./internal/mathx/
-	$(GO) test -run '^$$' -fuzz FuzzQuantRoundTrip -fuzztime 30s ./internal/nn/
 
 # A small vkload run over real localhost TCP: 64 vehicles through the
 # session manager with the training-free lora-key scheme. CI runs this

@@ -209,7 +209,7 @@ var (
 func benchSession(b *testing.B) *Session {
 	b.Helper()
 	benchProtoOnce.Do(func() {
-		benchProtoSession, benchProtoErr = Setup(Options{
+		benchProtoSession, benchProtoErr = SetupWith(Options{
 			Seed:            11,
 			TrainingWindows: 160,
 			TrainingEpochs:  10,
@@ -295,94 +295,49 @@ func BenchmarkScheme(b *testing.B) {
 	}
 }
 
-// Fast-path A/B over the predictor inference stage — the component the
-// -fastpath flag switches. The three systems are trained identically:
-// training always runs the float64 reference path, so with a shared
-// seed the weights agree byte for byte across modes, and the int8
-// system additionally snapshots its calibration during Fit. Two
-// sub-benchmark families:
+// BenchmarkPredict times the predictor inference stage on a briefly
+// trained Vehicle-Key system. Two sub-benchmarks:
 //
-//	forward/<mode> — the raw mode-dispatched forward (memo bypassed):
-//	                 off = per-step loops, gemm = batched MatMulTBias
-//	                 kernels, int8 = quantized integer kernels.
-//	predict/<mode> — the System-level path Alice's protocol rounds
-//	                 use, cycling a fixed window set so the
-//	                 fingerprint memo serves warm calls (off carries
-//	                 no memo by design — it is the uncached reference).
-//
-// CI's bench-smoke job runs this family as the off→gemm→int8
-// trajectory alongside BenchmarkScheme/vehicle-key.
-
-var (
-	benchFastPathOnce sync.Once
-	benchFastPathSys  map[string]*core.System
-	benchFastPathWins [][]float64
-	benchFastPathErr  error
-)
-
-func benchFastPathSystems(b *testing.B) (map[string]*core.System, [][]float64) {
-	b.Helper()
-	benchFastPathOnce.Do(func() {
-		sc := trace.NewScenario(channel.Urban, channel.V2I)
-		ds, err := trace.Build(sc, 13, 80, 32, trace.DefaultExtract())
-		if err != nil {
-			benchFastPathErr = err
-			return
-		}
-		benchFastPathSys = make(map[string]*core.System)
-		for _, mode := range []string{core.FastPathOff, core.FastPathGEMM, core.FastPathInt8} {
-			cfg := core.DefaultConfig()
-			cfg.FastPath = mode
-			src := rng.New(13)
-			sys := core.New(cfg, src.Derive("sys"))
-			train, _, test := ds.Split(0.75, 0.05, src.Derive("split"))
-			if _, err := sys.Train(train, 2, src.Derive("train")); err != nil {
-				benchFastPathErr = err
-				return
-			}
-			benchFastPathSys[mode] = sys
-			if benchFastPathWins == nil {
-				for _, smp := range test.Samples {
-					benchFastPathWins = append(benchFastPathWins, smp.Alice)
-				}
+//	forward — the raw batched forward, memo bypassed.
+//	predict — the System-level path Alice's protocol rounds use,
+//	          cycling a fixed window set so the fingerprint memo
+//	          serves warm calls.
+func BenchmarkPredict(b *testing.B) {
+	sc := trace.NewScenario(channel.Urban, channel.V2I)
+	ds, err := trace.Build(sc, 13, 80, 32, trace.DefaultExtract())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(13)
+	sys := core.New(core.DefaultConfig(), src.Derive("sys"))
+	train, _, test := ds.Split(0.75, 0.05, src.Derive("split"))
+	if _, err := sys.Train(train, 2, src.Derive("train")); err != nil {
+		b.Fatal(err)
+	}
+	var wins [][]float64
+	for _, smp := range test.Samples {
+		wins = append(wins, smp.Alice)
+	}
+	if len(wins) == 0 {
+		b.Fatal("predict benchmark: empty test split")
+	}
+	b.Run("forward", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sys.Stages.Predictor.Predict(wins[i%len(wins)]); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
-	if benchFastPathErr != nil {
-		b.Fatal(benchFastPathErr)
-	}
-	if len(benchFastPathWins) == 0 {
-		b.Fatal("fast-path benchmark: empty test split")
-	}
-	return benchFastPathSys, benchFastPathWins
-}
-
-func BenchmarkSchemeFastPath(b *testing.B) {
-	systems, wins := benchFastPathSystems(b)
-	modes := []string{core.FastPathOff, core.FastPathGEMM, core.FastPathInt8}
-	for _, mode := range modes {
-		sys := systems[mode]
-		b.Run("forward/"+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sys.Stages.Predictor.Predict(wins[i%len(wins)]); err != nil {
-					b.Fatal(err)
-				}
+	kept := []int{0}
+	b.Run("predict", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if bits := sys.AliceBitsAt(wins[i%len(wins)], kept); bits == nil {
+				b.Fatal("AliceBitsAt failed")
 			}
-		})
-	}
-	for _, mode := range modes {
-		sys := systems[mode]
-		kept := []int{0}
-		b.Run("predict/"+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if bits := sys.AliceBitsAt(wins[i%len(wins)], kept); bits == nil {
-					b.Fatal("AliceBitsAt failed")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkKeyStreamPush(b *testing.B) {

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	vehiclekey "repro"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/obs"
 )
@@ -40,7 +39,6 @@ func main() {
 		epochs   = flag.Int("epochs", 0, "override training epochs")
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 		scheme   = flag.String("scheme", "", "restrict the 'schemes' experiment to one registered scheme (empty = all)")
-		fastpath = flag.String("fastpath", "", "predictor inference path: off, gemm, or int8 (default gemm)")
 		parallel = flag.Int("parallel", 0, "worker count for grid fan-out and cross-experiment concurrency (0 = all cores, 1 = serial)")
 
 		metrics    = flag.Bool("metrics", false, "dump a Prometheus-text metrics snapshot to stderr when done (stdout stays byte-comparable)")
@@ -71,11 +69,6 @@ func main() {
 	}
 	cfg.Parallelism = *parallel
 	cfg.Scheme = *scheme
-	if !core.ValidFastPath(*fastpath) {
-		_, _ = fmt.Fprintln(os.Stderr, "vkbench: -fastpath must be off, gemm, or int8")
-		os.Exit(2)
-	}
-	cfg.FastPath = *fastpath
 
 	fail := func(err error) {
 		// Best-effort stderr write: the process exits on this error.

@@ -48,7 +48,7 @@ func main() {
 	}
 
 	fmt.Printf("training Vehicle-Key on a simulated %s %s link at %.0f km/h...\n", *env, *link, *speed)
-	session, err := vehiclekey.Setup(opts)
+	session, err := vehiclekey.SetupWith(opts)
 	if err != nil {
 		fatalf(1, "vkeygen: %v", err)
 	}

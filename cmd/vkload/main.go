@@ -30,9 +30,6 @@
 //	vkload -serve-only -endpoint tcp://0.0.0.0:9300   # terminal 1: server
 //	vkload -drive-only -endpoint tcp://host:9300      # terminal 2: the fleet
 //
-// The pre-endpoint flags (-proto, -listen, -serve, -connect) are
-// deprecated aliases and synthesize the equivalent endpoint URL.
-//
 // Per-vehicle arrival jitter is drawn from rng sub-streams keyed by
 // (seed, vehicle), so a fixed seed replays the identical load shape.
 package main
@@ -51,7 +48,6 @@ import (
 
 	vehiclekey "repro"
 	"repro/internal/channel"
-	"repro/internal/core"
 	"repro/internal/lora"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -83,14 +79,8 @@ func main() {
 		serveOnly = flag.Bool("serve-only", false, "run only the server side, listening at -endpoint")
 		driveOnly = flag.Bool("drive-only", false, "drive an external server at -endpoint (no in-process server)")
 
-		proto   = flag.String("proto", "tcp", "deprecated: use -endpoint; transport scheme for the alias flags below")
-		connect = flag.String("connect", "", "deprecated: use -drive-only -endpoint; drive an external server at this address")
-		serve   = flag.String("serve", "", "deprecated: use -serve-only -endpoint; run the server side only on this address")
-		listen  = flag.String("listen", "127.0.0.1:0", "deprecated: use -endpoint; in-process server bind address")
-
 		seed     = flag.Int64("seed", 21, "shared deterministic seed (must match the server)")
 		scheme   = flag.String("scheme", "", "key-generation scheme (default vehicle-key)")
-		fastpath = flag.String("fastpath", "", "predictor inference path: off, gemm, or int8 (default gemm)")
 		wincache = flag.Int("wincache", 0, "server session-window cache entries (0 = default 1024, negative disables)")
 		trainW   = flag.Int("train-windows", 160, "probing windows used for training")
 		trainE   = flag.Int("train-epochs", 12, "predictor training epochs")
@@ -110,13 +100,14 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	// Resolve the endpoint: -endpoint wins; the deprecated alias flags
-	// synthesize the equivalent URL (and -serve/-connect their mode).
 	ep := *endpoint
-	if ep == "" && *platoonN > 0 && *serve == "" && *connect == "" {
-		// Platoon runs are hub + members in one process; a named
-		// in-memory endpoint is the natural default.
-		ep = "mem://vkload-platoon"
+	if ep == "" {
+		ep = "tcp://127.0.0.1:0"
+		if *platoonN > 0 {
+			// Platoon runs are hub + members in one process; a named
+			// in-memory endpoint is the natural default.
+			ep = "mem://vkload-platoon"
+		}
 	}
 	mode := modeInProcess
 	if *serveOnly {
@@ -124,21 +115,6 @@ func main() {
 	}
 	if *driveOnly {
 		mode = modeDrive
-	}
-	if ep == "" {
-		if *proto != "tcp" && *proto != "udp" {
-			fatal(fmt.Errorf("-proto must be tcp or udp (or use -endpoint)"))
-		}
-		switch {
-		case *serve != "":
-			mode, ep = modeServe, *proto+"://"+*serve
-		case *connect != "":
-			mode, ep = modeDrive, *proto+"://"+*connect
-		default:
-			ep = *proto + "://" + *listen
-		}
-	} else if set["proto"] || set["connect"] || set["serve"] || set["listen"] {
-		fatal(fmt.Errorf("-endpoint replaces -proto/-connect/-serve/-listen; use -serve-only or -drive-only to pick the role"))
 	}
 	u, err := url.Parse(ep)
 	if err != nil || u.Scheme == "" {
@@ -165,9 +141,6 @@ func main() {
 		}
 	}
 
-	if !core.ValidFastPath(*fastpath) {
-		fatal(fmt.Errorf("-fastpath must be off, gemm, or int8"))
-	}
 	if *copies <= 0 {
 		*copies = 1
 		if epScheme == "udp" || epScheme == "lora" {
@@ -189,13 +162,12 @@ func main() {
 	reg := vehiclekey.NewMetricsRegistry()
 	fmt.Printf("training scheme %q (windows=%d epochs=%d seed=%d)...\n",
 		schemeName(*scheme), *trainW, *trainE, *seed)
-	vs, err := vehiclekey.Setup(vehiclekey.Options{
+	vs, err := vehiclekey.SetupWith(vehiclekey.Options{
 		Seed:            *seed,
 		Scheme:          *scheme,
 		TrainingWindows: *trainW,
 		TrainingEpochs:  *trainE,
 		Recorder:        reg,
-		System:          vehiclekey.SystemConfig{FastPath: *fastpath},
 	})
 	if err != nil {
 		fatal(err)

@@ -25,7 +25,7 @@ func main() {
 		opts.TrainingWindows = 200
 		opts.TrainingEpochs = 15
 	}
-	session, err := vehiclekey.Setup(opts)
+	session, err := vehiclekey.SetupWith(opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -7,9 +7,7 @@
 //
 // -endpoint takes any socket scheme the transport registry knows
 // (tcp://host:port, udp://host:port); the in-process schemes (mem://,
-// lora://) need both roles in one process — use vkload for those. The
-// pre-endpoint flags (-listen, -peer) are deprecated aliases for the
-// original UDP-only flow.
+// lora://) need both roles in one process — use vkload for those.
 //
 // Both processes derive the same simulated drive and trained model from
 // -seed, standing in for two radios probing the same physical channel.
@@ -17,8 +15,8 @@
 // Link faults can be injected locally to exercise the protocol's
 // retransmit/resynchronization path without a lossy network:
 //
-//	vkproto -role bob -listen 127.0.0.1:9100 -loss 0.25 -reorder 0.2
-//	vkproto -role alice -peer 127.0.0.1:9100 -loss 0.25 -reorder 0.2
+//	vkproto -role bob -endpoint udp://127.0.0.1:9100 -loss 0.25 -reorder 0.2
+//	vkproto -role alice -endpoint udp://127.0.0.1:9100 -loss 0.25 -reorder 0.2
 //
 // Faults apply to this process's outgoing datagrams, so each side
 // degrades its own uplink; run both with flags for a symmetric bad link.
@@ -44,9 +42,7 @@ import (
 func main() {
 	var (
 		role     = flag.String("role", "", "alice or bob")
-		endpoint = flag.String("endpoint", "", "transport endpoint URL, e.g. tcp://host:port or udp://host:port (bob listens, alice dials)")
-		listen   = flag.String("listen", "127.0.0.1:9100", "deprecated: use -endpoint udp://addr; bob's UDP address")
-		peer     = flag.String("peer", "127.0.0.1:9100", "deprecated: use -endpoint udp://addr; peer address (alice side)")
+		endpoint = flag.String("endpoint", "udp://127.0.0.1:9100", "transport endpoint URL, e.g. tcp://host:port or udp://host:port (bob listens, alice dials)")
 		seed     = flag.Int64("seed", 21, "shared deterministic seed")
 		windows  = flag.Int("windows", 16, "probing windows to run")
 		session  = flag.String("session", "vkproto", "session identifier")
@@ -82,10 +78,8 @@ func main() {
 	if *role != "alice" && *role != "bob" {
 		fatal(fmt.Errorf("-role must be alice or bob"))
 	}
-	if *endpoint != "" {
-		if err := checkEndpoint(*endpoint); err != nil {
-			fatal(err)
-		}
+	if err := checkEndpoint(*endpoint); err != nil {
+		fatal(err)
 	}
 
 	// Observability is opt-in: without flags every layer records into
@@ -125,77 +119,52 @@ func main() {
 	if reg != nil {
 		opts.Recorder = reg
 	}
-	vs, err := vehiclekey.Setup(opts)
+	vs, err := vehiclekey.SetupWith(opts)
 	if err != nil {
 		fatal(err)
 	}
 	aliceWin, bobWin := vs.Windows(*windows)
 
+	// Bob listens at the endpoint and takes the first link; alice dials
+	// it. Alice's hello travels first so every scheme shares one
+	// handshake shape.
 	var conn transport.Conn
-	switch {
-	case *endpoint != "":
-		// Registry path: bob listens at the endpoint and takes the first
-		// link; alice dials it. The hello still travels first so both
-		// schemes share one handshake shape.
-		if *role == "bob" {
-			l, err := transport.Listen(*endpoint)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("listening on %s\n", l.Addr())
-			c, err := l.Accept()
-			if err != nil {
-				fatal(err)
-			}
-			// One session per process, but keep the listener open until
-			// exit: the UDP mux shares its socket with every accepted
-			// session, so closing it here would sever the link just made.
-			defer func() { _ = l.Close() }()
-			hello, err := c.Recv()
-			if err != nil {
-				fatal(fmt.Errorf("waiting for alice: %w", err))
-			}
-			fmt.Printf("alice connected: %s\n", hello)
-			conn = c
-		} else {
-			c, err := transport.Dial(*endpoint)
-			if err != nil {
-				fatal(err)
-			}
-			if err := c.Send([]byte("hello from alice")); err != nil {
-				fatal(err)
-			}
-			conn = c
-		}
-	case *role == "bob":
-		udp, err := transport.DialUDP(*listen, "127.0.0.1:9") // peer learned from first datagram
+	if *role == "bob" {
+		l, err := transport.Listen(*endpoint)
 		if err != nil {
 			fatal(err)
 		}
-		// Wait for Alice's hello to learn her address.
-		udp.SetPeer(nil)
-		hello, err := udp.Recv()
+		fmt.Printf("listening on %s\n", l.Addr())
+		c, err := l.Accept()
+		if err != nil {
+			fatal(err)
+		}
+		// One session per process, but keep the listener open until
+		// exit: the UDP mux shares its socket with every accepted
+		// session, so closing it here would sever the link just made.
+		defer func() { _ = l.Close() }()
+		hello, err := c.Recv()
 		if err != nil {
 			fatal(fmt.Errorf("waiting for alice: %w", err))
 		}
 		fmt.Printf("alice connected: %s\n", hello)
-		conn = udp
-	default:
-		udp, err := transport.DialUDP("127.0.0.1:0", *peer)
+		conn = c
+	} else {
+		c, err := transport.Dial(*endpoint)
 		if err != nil {
 			fatal(err)
 		}
-		if err := udp.Send([]byte("hello from alice")); err != nil {
+		if err := c.Send([]byte("hello from alice")); err != nil {
 			fatal(err)
 		}
-		conn = udp
+		conn = c
 	}
 	// Closing at exit is best-effort: the session is over and the socket
 	// dies with the process either way.
 	defer func() { _ = conn.Close() }()
 
 	// Wrap in the fault injector only after the hello exchange: the
-	// handshake that discovers Bob's peer address must not be dropped.
+	// handshake that opens Bob's session must not be dropped.
 	faults := transport.FaultConfig{
 		Drop: *loss, Duplicate: *dup, Reorder: *reorder,
 		Corrupt: *corrupt, Delay: *delay, MaxDelay: *maxDelay,

@@ -16,7 +16,7 @@ func main() {
 		name string
 		val  vehiclekey.Environment
 	}{{"urban", vehiclekey.Urban}, {"rural", vehiclekey.Rural}} {
-		session, err := vehiclekey.Setup(vehiclekey.Options{
+		session, err := vehiclekey.SetupWith(vehiclekey.Options{
 			Environment:     env.val,
 			Link:            vehiclekey.V2V,
 			TrainingWindows: 200,

@@ -21,7 +21,7 @@ func main() {
 
 	for i, id := range []string{"car-alpha", "car-bravo", "car-charlie"} {
 		fmt.Printf("establishing pairwise key with %s...\n", id)
-		session, err := vehiclekey.Setup(vehiclekey.Options{
+		session, err := vehiclekey.SetupWith(vehiclekey.Options{
 			Seed:            int64(100 + i),
 			TrainingWindows: 160,
 			TrainingEpochs:  12,

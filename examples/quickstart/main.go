@@ -14,7 +14,7 @@ func main() {
 	// The zero options reproduce the paper's default setup: urban V2I,
 	// 50 km/h, SF12/125 kHz LoRa at 434 MHz. Smaller training sizes keep
 	// the example fast; drop the overrides for paper-scale quality.
-	session, err := vehiclekey.Setup(vehiclekey.Options{
+	session, err := vehiclekey.SetupWith(vehiclekey.Options{
 		TrainingWindows: 200,
 		TrainingEpochs:  15,
 	})

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	fmt.Println("establishing a key between the RSU and the vehicle...")
-	session, err := vehiclekey.Setup(vehiclekey.Options{
+	session, err := vehiclekey.SetupWith(vehiclekey.Options{
 		Link:            vehiclekey.V2I,
 		Environment:     vehiclekey.Rural,
 		TrainingWindows: 200,

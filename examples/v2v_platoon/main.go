@@ -17,7 +17,7 @@ import (
 
 func main() {
 	fmt.Println("training the shared prediction model on the V2V-urban drive...")
-	session, err := vehiclekey.Setup(vehiclekey.Options{
+	session, err := vehiclekey.SetupWith(vehiclekey.Options{
 		Link:            vehiclekey.V2V,
 		TrainingWindows: 240,
 		TrainingEpochs:  18,

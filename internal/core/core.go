@@ -56,49 +56,7 @@ var (
 
 	cacheHitPredictor  = obs.Labeled(obs.CacheHits, "cache", "predictor")
 	cacheMissPredictor = obs.Labeled(obs.CacheMisses, "cache", "predictor")
-
-	nnForwardSecOff  = obs.Labeled(obs.NNForwardSeconds, "path", FastPathOff)
-	nnForwardSecGEMM = obs.Labeled(obs.NNForwardSeconds, "path", FastPathGEMM)
-	nnForwardSecInt8 = obs.Labeled(obs.NNForwardSeconds, "path", FastPathInt8)
 )
-
-// FastPath values for Config.FastPath: which predictor inference
-// implementation serves Predict.
-const (
-	// FastPathOff forces the original per-step reference forward and
-	// uncached reconciler artifacts — the path the equivalence battery
-	// and A/B benchmarks compare against.
-	FastPathOff = "off"
-	// FastPathGEMM (the default) batches the BiLSTM and head forwards
-	// into matrix–matrix kernels. Byte-identical to the reference.
-	FastPathGEMM = "gemm"
-	// FastPathInt8 additionally serves inference from the calibrated
-	// int8 snapshot (falling back to the GEMM path until the predictor
-	// has been trained and calibrated). Bounded soft-bit error;
-	// key-bit-identical on the seed scenarios (scheme_golden_test.go).
-	FastPathInt8 = "int8"
-)
-
-// ValidFastPath reports whether mode is a recognized Config.FastPath
-// value ("" meaning "take the default").
-func ValidFastPath(mode string) bool {
-	switch mode {
-	case "", FastPathOff, FastPathGEMM, FastPathInt8:
-		return true
-	}
-	return false
-}
-
-func nnForwardSecFor(mode string) string {
-	switch mode {
-	case FastPathOff:
-		return nnForwardSecOff
-	case FastPathInt8:
-		return nnForwardSecInt8
-	default:
-		return nnForwardSecGEMM
-	}
-}
 
 // Config assembles the pipeline's knobs. The zero value is completed with
 // the paper's defaults by Normalize.
@@ -137,11 +95,6 @@ type Config struct {
 	// AEEpochs and AESamples size reconciler training.
 	AEEpochs  int
 	AESamples int
-	// FastPath selects the predictor inference implementation and the
-	// reconciler fast internals: FastPathGEMM (default), FastPathInt8,
-	// or FastPathOff for the per-step reference path. Unrecognized
-	// values normalize to the default.
-	FastPath string
 }
 
 // DefaultConfig mirrors the paper's implementation section: 32-step
@@ -196,15 +149,6 @@ func (c *Config) Normalize() {
 	if c.AESamples <= 0 {
 		c.AESamples = 300
 	}
-	switch c.FastPath {
-	case FastPathOff, FastPathGEMM, FastPathInt8:
-	default:
-		c.FastPath = FastPathGEMM
-	}
-	// The reference fast-path mode also pins the reconciler to its
-	// original scalar internals, so "off" really is the pre-fast-path
-	// pipeline end to end.
-	c.AE.Reference = c.FastPath == FastPathOff
 }
 
 // bits returns the quantization head width.
@@ -269,66 +213,32 @@ func windowFingerprint(seq []float64) uint64 {
 }
 
 // nnPredictor is the Vehicle-Key predictor stage: the BiLSTM prediction
-// + quantization network, run by Alice (or the power-rich side). mode
-// (a FastPath value) selects which forward implementation serves
-// Predict; training always runs the float64 reference.
+// + quantization network, run by Alice (or the power-rich side).
+// Predict serves the batched inference forward; training runs the
+// per-step forward it is byte-identical to.
 type nnPredictor struct {
-	cfg  nn.PredictorConfig
-	net  *nn.Predictor
-	mode string
+	cfg nn.PredictorConfig
+	net *nn.Predictor
 }
 
 func (p *nnPredictor) Name() string { return "bilstm" }
 
 func (p *nnPredictor) Predict(aliceSeq []float64) ([]float64, []byte, error) {
-	var yHat, zHat []float64
-	switch p.mode {
-	case FastPathOff:
-		yHat, zHat = p.net.Forward(aliceSeq)
-	case FastPathInt8:
-		if p.net.Calibrated() {
-			yHat, zHat = p.net.ForwardQuantized(aliceSeq)
-		} else {
-			// Until a post-training calibration exists, serve the
-			// exact GEMM path rather than refuse.
-			yHat, zHat = p.net.ForwardBatched(aliceSeq)
-		}
-	default:
-		yHat, zHat = p.net.ForwardBatched(aliceSeq)
-	}
+	yHat, zHat := p.net.ForwardBatched(aliceSeq)
 	return yHat, nn.Bits(zHat), nil
 }
-
-// calibrationWindows bounds how many training windows feed the int8
-// activation-scale calibration; max-abs statistics saturate quickly.
-const calibrationWindows = 64
 
 func (p *nnPredictor) Fit(samples []nn.TrainSample, epochs int, learnRate, weightDecay float64, src *rng.Source) []float64 {
 	tr := nn.NewTrainer(p.net, learnRate, src)
 	tr.Opt.WeightDecay = weightDecay
-	losses := tr.Fit(samples, epochs)
-	// Training moved the weights: any existing int8 snapshot is stale.
-	p.net.DropCalibration()
-	if p.mode == FastPathInt8 && len(samples) > 0 {
-		wins := make([][]float64, 0, calibrationWindows)
-		for _, s := range samples {
-			wins = append(wins, s.Alice)
-			if len(wins) == calibrationWindows {
-				break
-			}
-		}
-		p.net.Calibrate(wins)
-	}
-	return losses
+	return tr.Fit(samples, epochs)
 }
 
 // Clone deep-copies the network through an in-memory Save/Load
 // round-trip; the initialization seed is irrelevant because Load
-// overwrites every parameter. The clone's weights are byte-identical,
-// so it adopts the source's int8 calibration snapshot (read-only,
-// shared) instead of re-deriving it.
+// overwrites every parameter.
 func (p *nnPredictor) Clone() pipeline.Predictor {
-	out := &nnPredictor{cfg: p.cfg, net: nn.NewPredictor(p.cfg, rng.New(1)), mode: p.mode}
+	out := &nnPredictor{cfg: p.cfg, net: nn.NewPredictor(p.cfg, rng.New(1))}
 	var buf bytes.Buffer
 	if err := nn.SaveParams(&buf, p.net.Params()); err != nil {
 		panic("core: predictor clone save: " + err.Error())
@@ -336,22 +246,13 @@ func (p *nnPredictor) Clone() pipeline.Predictor {
 	if err := nn.LoadParams(&buf, out.net.Params()); err != nil {
 		panic("core: predictor clone load: " + err.Error())
 	}
-	out.net.AdoptCalibration(p.net)
 	return out
 }
 
 func (p *nnPredictor) Save(w io.Writer) error { return nn.SaveParams(w, p.net.Params()) }
 
-// Load restores weights and drops any int8 calibration (it described
-// the previous weights); the int8 mode serves the exact GEMM path
-// until the next Train re-calibrates.
-func (p *nnPredictor) Load(r io.Reader) error {
-	if err := nn.LoadParams(r, p.net.Params()); err != nil {
-		return err
-	}
-	p.net.DropCalibration()
-	return nil
-}
+// Load restores weights saved by Save.
+func (p *nnPredictor) Load(r io.Reader) error { return nn.LoadParams(r, p.net.Params()) }
 
 // New builds an untrained Vehicle-Key system: BiLSTM predictor,
 // guard-banded multi-bit quantizer, Bloom+autoencoder reconciler,
@@ -359,14 +260,8 @@ func (p *nnPredictor) Load(r io.Reader) error {
 func New(cfg Config, src *rng.Source) *System {
 	cfg.Normalize()
 	pcfg := nn.PredictorConfig{SeqLen: cfg.SeqLen, Hidden: cfg.Hidden, Bits: cfg.bits(), Theta: cfg.Theta}
-	pred := &nnPredictor{cfg: pcfg, net: nn.NewPredictor(pcfg, src.Derive("predictor")), mode: cfg.FastPath}
+	pred := &nnPredictor{cfg: pcfg, net: nn.NewPredictor(pcfg, src.Derive("predictor"))}
 	ae := reconcile.NewAE(cfg.AE, src.Derive("ae"))
-	var pm *memo.LRU[uint64, predEntry]
-	if cfg.FastPath != FastPathOff {
-		// "off" is the fully uncached reference pipeline; the memo is
-		// part of the fast path, not the baseline being compared against.
-		pm = memo.NewLRU[uint64, predEntry](predMemoCap)
-	}
 	return &System{
 		Cfg: cfg,
 		Stages: pipeline.Stages{
@@ -378,7 +273,7 @@ func New(cfg Config, src *rng.Source) *System {
 			IndexExchange: true,
 		},
 		rec:   obs.Nop,
-		pmemo: pm,
+		pmemo: memo.NewLRU[uint64, predEntry](predMemoCap),
 	}
 }
 
@@ -450,13 +345,13 @@ func (s *System) BobQuantize(bobSeq []float64) (bits []byte, kept []int, err err
 	return bits, kept, nil
 }
 
-// timedPredict runs the predictor stage under the fast-path latency
+// timedPredict runs the predictor stage under the forward latency
 // histogram. It is the single point every prediction funnels through,
 // memoized or not.
 func (s *System) timedPredict(aliceSeq []float64) ([]float64, []byte, error) {
 	started := time.Now()
 	yHat, all, err := s.Stages.Predictor.Predict(aliceSeq)
-	s.recorder().Observe(nnForwardSecFor(s.Cfg.FastPath), time.Since(started).Seconds())
+	s.recorder().Observe(obs.NNForwardSeconds, time.Since(started).Seconds())
 	return yHat, all, err
 }
 

@@ -28,13 +28,6 @@ type RunConfig struct {
 	// scheme set the paper compares.
 	Scheme string
 
-	// FastPath overrides core.Config.FastPath for every system the
-	// experiments build ("off", "gemm", "int8"; empty keeps the core
-	// default). The exact paths produce bit-identical reports; int8 can
-	// differ within its calibrated soft-bit bound, so the mode is part of
-	// every cache key.
-	FastPath string
-
 	// Parallelism is the worker count used to fan out each experiment's
 	// grid points and RunAll's cross-experiment scheduling. 0 means one
 	// worker per CPU; 1 forces serial execution. Reports are a pure
@@ -61,8 +54,8 @@ func (c RunConfig) recorder() obs.Recorder { return obs.OrNop(c.Obs) }
 // on results. Parallelism is included so the equivalence tests comparing
 // worker counts never serve one count's result to the other.
 func (c RunConfig) cacheKey() string {
-	return fmt.Sprintf("seed=%d samples=%d epochs=%d quick=%t par=%d scheme=%q fastpath=%q",
-		c.Seed, c.Samples, c.Epochs, c.Quick, c.Parallelism, c.Scheme, c.FastPath)
+	return fmt.Sprintf("seed=%d samples=%d epochs=%d quick=%t par=%d scheme=%q",
+		c.Seed, c.Samples, c.Epochs, c.Quick, c.Parallelism, c.Scheme)
 }
 
 // Default returns the full-size configuration; Quick returns a reduced

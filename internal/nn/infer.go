@@ -1,4 +1,4 @@
-// Batched inference-only forward passes (the PR 8 "gemm" fast path).
+// Batched inference-only forward passes, the serving path.
 //
 // The training Forward methods walk the sequence step by step, calling
 // a vector–matrix gate per timestep and recording every intermediate

@@ -54,11 +54,6 @@ type Predictor struct {
 	fcPred  []*Dense // 2H → 1, Identity
 	fcQuant []*Dense // 2H → BitsPerStep, Sigmoid
 	perStep int      // bits per step = Bits/SeqLen
-
-	// int8 inference state (int8.go). quant is read-only once built by
-	// Calibrate and may be shared across clones; qscratch is per-instance.
-	quant    *predictorQuant
-	qscratch quantScratch
 }
 
 // NewPredictor builds the model with weights drawn from src. Bits must be

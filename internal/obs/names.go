@@ -55,15 +55,14 @@ const (
 	// by the vkload generator (dial → outcomes returned).
 	LoadSessionSeconds = "vk_load_session_seconds"
 
-	// Cache effectiveness counters for the PR 8 memo layer, labeled
+	// Cache effectiveness counters for the memo layer, labeled
 	// cache=<CacheNames>: predictor forwards keyed by window
 	// fingerprint (internal/core) and per-vehicle window derivations
 	// (internal/server).
 	CacheHits   = "vk_cache_hits_total"
 	CacheMisses = "vk_cache_misses_total"
 
-	// NNForwardSeconds is the predictor inference latency histogram,
-	// labeled path=<FastPaths> — the off/gemm/int8 fast-path split.
+	// NNForwardSeconds is the predictor inference latency histogram.
 	NNForwardSeconds = "vk_nn_forward_seconds"
 
 	// Shared-medium LoRa MAC counters (internal/lora medium). LoraTx is
@@ -146,9 +145,6 @@ var LoraTxResults = []string{LoraDelivered, LoraCollided, LoraHalfDuplex, LoraCA
 
 // CacheNames lists the memoization caches that report hit/miss counters.
 var CacheNames = []string{"predictor", "windows"}
-
-// FastPaths lists the predictor inference paths (core.FastPath* values).
-var FastPaths = []string{"off", "gemm", "int8"}
 
 // Server session outcome labels.
 const (
@@ -263,10 +259,7 @@ func DeclareStandard(r *Registry) {
 		r.DeclareCounter(Labeled(CacheHits, "cache", cache), "memoization cache hits")
 		r.DeclareCounter(Labeled(CacheMisses, "cache", cache), "memoization cache misses")
 	}
-	for _, path := range FastPaths {
-		r.DeclareHistogram(Labeled(NNForwardSeconds, "path", path),
-			"predictor inference latency in seconds, by fast path", DefBuckets)
-	}
+	r.DeclareHistogram(NNForwardSeconds, "predictor inference latency in seconds", DefBuckets)
 	for _, result := range LoraTxResults {
 		r.DeclareCounter(Labeled(LoraTx, "result", result),
 			"shared-medium LoRa transmission attempts, by result")

@@ -62,22 +62,12 @@ func (s *AEStage) Reconcile(alice, bob, salt []byte) (Outcome, error) {
 	return s.ae.Reconcile(alice, bob, salt)
 }
 
-// bloomFor serves the session's Bloom transform, from the shared
-// package cache on the fast path (the filter is pure in (n, salt) and
-// read-only, so repeated protocol rounds skip the SHA-256 derivation).
-func (s *AEStage) bloomFor(n int, salt []byte) *reconcile.BloomFilter {
-	if s.ae.Cfg.Reference {
-		return reconcile.NewBloomFilter(n, salt)
-	}
-	return reconcile.BloomFor(n, salt)
-}
-
 func (s *AEStage) BobEncode(block, salt []byte) ([]float64, []byte, error) {
 	if len(block) != s.ae.Cfg.KeyBits {
 		return nil, nil, &StageError{Stage: "reconciler",
 			Err: fmt.Errorf("block length %d, want %d", len(block), s.ae.Cfg.KeyBits)}
 	}
-	bf := s.bloomFor(len(block), salt)
+	bf := reconcile.BloomFor(len(block), salt)
 	bloomKey := bf.Transform(block)
 	code := s.ae.EncodeBob(bloomKey)
 	return code, bloomKey, nil
@@ -94,7 +84,7 @@ func (s *AEStage) AliceCorrect(block []byte, code []float64, salt []byte) ([]byt
 		return nil, nil, &StageError{Stage: "reconciler",
 			Err: fmt.Errorf("code length %d, want %d", len(code), s.ae.Cfg.CodeDim)}
 	}
-	bf := s.bloomFor(len(block), salt)
+	bf := reconcile.BloomFor(len(block), salt)
 	bloomKey := bf.Transform(block)
 	corrected := s.ae.Correct(bloomKey, code)
 	secure.Wipe(bloomKey)

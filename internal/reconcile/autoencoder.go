@@ -29,12 +29,6 @@ type AEConfig struct {
 	// EncoderSeed keys the fixed encoder projection; both parties derive
 	// it from public session context.
 	EncoderSeed int64
-	// Reference forces the original scalar implementations (per-element
-	// encoder loops, per-position decoder calls, uncached Bloom filters)
-	// instead of the PR 8 fast path. Both paths are byte-identical —
-	// equivalence_test.go pins that — so this exists for benchmarking
-	// the speedup and for the equivalence battery itself.
-	Reference bool
 }
 
 // DefaultAEConfig returns the selected configuration: 128-bit keys,
@@ -89,7 +83,7 @@ type AE struct {
 	w   []float64 // CodeDim×KeyBits fixed encoder projection
 	dec *nn.MLP   // shared per-position decoder: [|bp_j|, k̂] → P(flip)
 
-	// Fast-path scratch, reused across calls. One System is routinely
+	// Scratch buffers, reused across calls. One System is routinely
 	// shared between an Alice and a Bob protocol node in the same
 	// process (the loopback tests and benches do exactly that), so
 	// EncodeBob and Correct can race on these buffers — mu serializes
@@ -168,62 +162,36 @@ func (ae *AE) Clone() *AE {
 	return out
 }
 
-// encode projects a ±1-mapped key through the fixed encoder. The fast
-// path maps the bits to a ±1 vector once and runs a single GEMV:
-// row[c]*(+1) and row[c]*(−1) are exact in IEEE float, and s−row[c]
-// equals s+(−row[c]) bit-for-bit, so the result is byte-identical to
-// the branchy reference loop. Short inputs (len(bits) < KeyBits) fall
-// back to the reference, whose early stop has no ±1 encoding.
+// encode projects a ±1-mapped key through the fixed encoder: the bits
+// map to a ±1 vector once and run through a single GEMV. row[c]*(+1)
+// and row[c]*(−1) are exact in IEEE float, and s−row[c] equals
+// s+(−row[c]) bit-for-bit, so the result is byte-identical to the
+// branchy scalar loop (equivalence_test.go keeps it as the oracle).
+// bits must hold at least KeyBits bits.
 func (ae *AE) encode(bits []byte) []float64 {
 	n, m := ae.Cfg.KeyBits, ae.Cfg.CodeDim
+	pm := growF(&ae.scPM, n)
+	for c := 0; c < n; c++ {
+		if bits[c] == 1 {
+			pm[c] = 1
+		} else {
+			pm[c] = -1
+		}
+	}
 	out := make([]float64, m)
-	if !ae.Cfg.Reference && len(bits) >= n {
-		pm := growF(&ae.scPM, n)
-		for c := 0; c < n; c++ {
-			if bits[c] == 1 {
-				pm[c] = 1
-			} else {
-				pm[c] = -1
-			}
-		}
-		mathx.MatVec(ae.w, m, n, pm, out)
-		return out
-	}
-	for r := 0; r < m; r++ {
-		row := ae.w[r*n : (r+1)*n]
-		var s float64
-		for c := 0; c < n && c < len(bits); c++ {
-			if bits[c] == 1 {
-				s += row[c]
-			} else {
-				s -= row[c]
-			}
-		}
-		out[r] = s
-	}
+	mathx.MatVec(ae.w, m, n, pm, out)
 	return out
 }
 
 // backproject computes Wᵀh, the decoder's matched-filter first stage.
-// The fast path streams W row-major (one cache-friendly pass) instead
-// of striding down columns; per output element the terms are still
-// added in ascending r, so the sums are byte-identical. The returned
-// slice is scratch, valid until the next backproject call.
+// It streams W row-major (one cache-friendly pass) instead of striding
+// down columns; per output element the terms are still added in
+// ascending r, so the sums are byte-identical to the column-strided
+// loop. The returned slice is scratch, valid until the next
+// backproject call.
 func (ae *AE) backproject(h []float64) []float64 {
-	n, m := ae.Cfg.KeyBits, ae.Cfg.CodeDim
-	if !ae.Cfg.Reference {
-		out := growF(&ae.scBP, n)
-		mathx.MatVecT(ae.w, m, n, h, out)
-		return out
-	}
-	out := make([]float64, n)
-	for c := 0; c < n; c++ {
-		var s float64
-		for r := 0; r < m; r++ {
-			s += ae.w[r*n+c] * h[r]
-		}
-		out[c] = s
-	}
+	out := growF(&ae.scBP, ae.Cfg.KeyBits)
+	mathx.MatVecT(ae.w, ae.Cfg.CodeDim, ae.Cfg.KeyBits, h, out)
 	return out
 }
 
@@ -287,7 +255,6 @@ func (ae *AE) Correct(bloomKeyAlice []byte, yBob []float64) []byte {
 		return out
 	}
 
-	in := make([]float64, 2)
 	scores := make([]float64, n)
 	candidates := make([]int, 0, n)
 	for round := 0; round < decodeRounds; round++ {
@@ -313,24 +280,17 @@ func (ae *AE) Correct(bloomKeyAlice []byte, yBob []float64) []byte {
 		for i := range scores {
 			scores[i] = -1
 		}
-		if ae.Cfg.Reference {
-			for _, j := range candidates {
-				in[0], in[1] = absBP[j], kHat
-				scores[j] = ae.dec.Forward(in)[0]
-			}
-		} else {
-			// One batched decoder pass over all candidates (byte-
-			// identical per row to the per-position calls above).
-			rows := len(candidates)
-			feat := growF(&ae.scFeat, rows*2)
-			for i, j := range candidates {
-				feat[2*i], feat[2*i+1] = absBP[j], kHat
-			}
-			batched := growF(&ae.scScore, rows)
-			ae.dec.ForwardInfer(feat, rows, batched)
-			for i, j := range candidates {
-				scores[j] = batched[i]
-			}
+		// One batched decoder pass over all candidates (byte-identical
+		// per row to scoring each position with dec.Forward).
+		rows := len(candidates)
+		feat := growF(&ae.scFeat, rows*2)
+		for i, j := range candidates {
+			feat[2*i], feat[2*i+1] = absBP[j], kHat
+		}
+		batched := growF(&ae.scScore, rows)
+		ae.dec.ForwardInfer(feat, rows, batched)
+		for i, j := range candidates {
+			scores[j] = batched[i]
 		}
 		// Flip the most confident candidates this round; leave the
 		// uncertain tail for the cleaner next round. The final round
@@ -477,14 +437,9 @@ func (ae *AE) Reconcile(keyAlice, keyBob, salt []byte) (Outcome, error) {
 	if len(keyAlice) != ae.Cfg.KeyBits || len(keyBob) != ae.Cfg.KeyBits {
 		return Outcome{}, errors.New("reconcile: key length mismatch")
 	}
-	// The fast path serves repeated session salts from the package
-	// cache; the filter is pure in (n, salt), so the keys are unchanged.
-	var bf *BloomFilter
-	if ae.Cfg.Reference {
-		bf = NewBloomFilter(ae.Cfg.KeyBits, salt)
-	} else {
-		bf = BloomFor(ae.Cfg.KeyBits, salt)
-	}
+	// Repeated session salts are served from the package cache; the
+	// filter is pure in (n, salt), so the keys are unchanged.
+	bf := BloomFor(ae.Cfg.KeyBits, salt)
 	bkA := bf.Transform(keyAlice)
 	bkB := bf.Transform(keyBob)
 

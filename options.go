@@ -73,7 +73,7 @@ type ErrUnknownScheme = core.ErrUnknownScheme
 // synchronously on the calling goroutine; implementations must be quick
 // or hand off.
 type SessionObserver interface {
-	// SessionTrained fires once Setup's model training completes.
+	// SessionTrained fires once SetupWith's model training completes.
 	SessionTrained(seed int64, epochs int)
 	// KeyGenerated fires for every key GenerateKeys produces, confirmed
 	// or not.
@@ -102,8 +102,8 @@ func (o ObserverFuncs) KeyGenerated(key Key) {
 }
 
 // Option mutates an Options value; pass options to SetupWith. The struct
-// path (Setup with a filled Options) and the functional path are
-// equivalent — an Option is sugar over the corresponding field.
+// path (a filled Options) and the functional path are equivalent — an
+// Option is sugar over the corresponding field.
 type Option func(*Options)
 
 // WithEnvironment selects the propagation preset (Urban or Rural).
@@ -142,26 +142,16 @@ func WithSystemConfig(cfg SystemConfig) Option {
 	return func(o *Options) { o.System = cfg }
 }
 
-// WithFastPath selects the predictor inference implementation: "gemm"
-// (the default batched kernels, byte-identical to the reference), "int8"
-// (calibrated quantized serving, key-bit-identical on the paper's
-// scenarios), or "off" (the original per-step reference path). Training
-// always runs in full float64 regardless of the mode, so trained weights
-// — and therefore Export/Import artifacts — are identical across modes.
-func WithFastPath(mode string) Option {
-	return func(o *Options) { o.System.FastPath = mode }
-}
-
 // WithScheme selects the key-generation scheme by registry name —
 // "vehicle-key" (the default), "lora-key", "han", or "gao"; see
-// Schemes(). Setup fails with ErrUnknownScheme for anything else.
+// Schemes(). SetupWith fails with ErrUnknownScheme for anything else.
 func WithScheme(name string) Option {
 	return func(o *Options) { o.Scheme = name }
 }
 
 // WithMedium attaches a shared LoRa medium to the session: cfg's
 // contention parameters (channels, capture margin, CAD, duty cycle,
-// dwell) flow through the same surface as WithScheme/WithFastPath, zero
+// dwell) flow through the same surface as WithScheme, zero
 // fields take the documented defaults, the medium seed defaults to the
 // session seed, and MAC counters record into the session's Recorder.
 // The built medium is returned by Session.Medium.

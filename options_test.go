@@ -9,14 +9,14 @@ import (
 )
 
 // TestOptionsEquivalence is the API-compat contract: the functional-
-// options path must produce a session indistinguishable from the legacy
+// options path must produce a session indistinguishable from the plain
 // struct path for the same effective configuration — identical keys from
 // the same seed.
 func TestOptionsEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two models")
 	}
-	legacy, err := Setup(Options{Seed: 7, TrainingWindows: 160, TrainingEpochs: 12})
+	plain, err := SetupWith(Options{Seed: 7, TrainingWindows: 160, TrainingEpochs: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestOptionsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, m1, err := legacy.GenerateKeys(2)
+	k1, m1, err := plain.GenerateKeys(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestErrorReexports(t *testing.T) {
 // TestWithMediumSession checks the shared-medium public surface: the
 // session owns a medium built from the (normalized) config, the medium
 // seed inherits the session seed, protocol traffic flows over a link,
-// and an invalid config fails Setup before any training.
+// and an invalid config fails SetupWith before any training.
 func TestWithMediumSession(t *testing.T) {
 	// Default (emulation) clock mode: lockstep would require every
 	// endpoint driven continuously, which a plain Send-then-wait test
@@ -187,7 +187,7 @@ func TestWithMediumSession(t *testing.T) {
 	_ = m.Close()
 
 	if _, err := SetupWith(Options{}, WithMedium(MediumConfig{Channels: -1})); err == nil {
-		t.Error("Setup accepted an invalid medium config")
+		t.Error("SetupWith accepted an invalid medium config")
 	}
 
 	pp, err := SetupWith(Options{TrainingWindows: 40, TrainingEpochs: 1}, WithScheme("lora-key"))

@@ -8,7 +8,7 @@ import "testing"
 func TestRunPlatoonMem(t *testing.T) {
 	opts := quickOptions(11)
 	opts.Scheme = "lora-key" // training-free: the platoon run is the point
-	session, err := Setup(opts)
+	session, err := SetupWith(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunPlatoonMem(t *testing.T) {
 func TestRunPlatoonLeaverBounds(t *testing.T) {
 	opts := quickOptions(12)
 	opts.Scheme = "lora-key"
-	session, err := Setup(opts)
+	session, err := SetupWith(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

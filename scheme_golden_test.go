@@ -37,90 +37,16 @@ func TestDefaultSchemeGoldenKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains four models")
 	}
-	runGoldenKeys(t, "") // "" normalizes to the gemm fast path
-}
-
-// TestFastPathReferenceGoldenKeys runs the identical battery on the
-// "off" path — the original per-step forward and uncached reconciler
-// internals. One golden table serving both modes IS the end-to-end
-// byte-identity claim of the fast path (training is float64 reference
-// in every mode, so the trained weights agree by construction and any
-// divergence would have to come from inference or reconciliation).
-func TestFastPathReferenceGoldenKeys(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains four models")
-	}
-	runGoldenKeys(t, "off")
-}
-
-// TestFastPathInt8GoldenKeys pins how far the int8 quantized path's
-// equality extends, empirically, at seed 1: the FIRST reconciliation
-// block of every seed scenario reproduces the golden key bit for bit
-// (hard key bits at kept positions are identical — proven in
-// internal/core's TestInt8KeyBitIdentitySeedScenarios — and the AE
-// corrects Alice toward Bob, whose side never runs the predictor).
-// Later blocks are NOT pinned: Alice's guard selection consumes the
-// soft ŷ directly, and a boundary-adjacent sample kept by one path and
-// dropped by the other re-aligns the remaining key stream. That is a
-// weight-precision floor — int8 weights with exact float64 activations
-// already shift ŷ by ~5e-3 — so whole-session golden identity is a
-// gemm/off property, not an int8 one.
-func TestFastPathInt8GoldenKeys(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains four models")
-	}
 	for _, g := range goldenKeys {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			s, err := Setup(Options{
-				Environment:     g.env,
-				Link:            g.link,
-				Seed:            1,
-				TrainingWindows: 120,
-				TrainingEpochs:  6,
-				Scheme:          "vehicle-key",
-				System:          SystemConfig{FastPath: "int8"},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys, _, err := s.GenerateKeys(len(g.hex))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(keys) != len(g.hex) {
-				t.Fatalf("generated %d keys, want %d", len(keys), len(g.hex))
-			}
-			if got := hex.EncodeToString(keys[0].Bits); got != g.hex[0] {
-				t.Errorf("first block key = %s, want golden %s", got, g.hex[0])
-			}
-			if keys[0].Agreed != g.agreed[0] {
-				t.Errorf("first block agreed = %t, want %t", keys[0].Agreed, g.agreed[0])
-			}
-			for i, k := range keys {
-				if len(k.Bits) != 16 {
-					t.Errorf("key %d is %d bytes, want 16", i, len(k.Bits))
-				}
-			}
-		})
-	}
-}
-
-// runGoldenKeys checks the default scheme reproduces the golden table
-// at seed 1 under the given fast-path mode.
-func runGoldenKeys(t *testing.T, fastpath string) {
-	t.Helper()
-	for _, g := range goldenKeys {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			s, err := Setup(Options{
+			s, err := SetupWith(Options{
 				Environment:     g.env,
 				Link:            g.link,
 				Seed:            1,
 				TrainingWindows: 120,
 				TrainingEpochs:  6,
 				Scheme:          "vehicle-key", // explicit name must equal the "" default
-				System:          SystemConfig{FastPath: fastpath},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -158,10 +84,10 @@ func TestSchemesRegistered(t *testing.T) {
 			t.Errorf("scheme %q not registered (have %v)", name, Schemes())
 		}
 	}
-	_, err := Setup(Options{Scheme: "no-such-scheme", TrainingWindows: 40, TrainingEpochs: 1})
+	_, err := SetupWith(Options{Scheme: "no-such-scheme", TrainingWindows: 40, TrainingEpochs: 1})
 	var unknown *ErrUnknownScheme
 	if err == nil || !errors.As(err, &unknown) {
-		t.Fatalf("Setup with bogus scheme: err = %v, want *ErrUnknownScheme", err)
+		t.Fatalf("SetupWith with bogus scheme: err = %v, want *ErrUnknownScheme", err)
 	}
 	if unknown.Name != "no-such-scheme" || len(unknown.Known) == 0 {
 		t.Errorf("ErrUnknownScheme fields = %+v", unknown)

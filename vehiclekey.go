@@ -24,7 +24,7 @@
 //
 // Quickstart:
 //
-//	session, err := vehiclekey.Setup(vehiclekey.Options{})
+//	session, err := vehiclekey.SetupWith(vehiclekey.Options{})
 //	...
 //	keys, metrics, err := session.GenerateKeys(8)
 package vehiclekey
@@ -70,7 +70,7 @@ type Key struct {
 	Agreement float64
 }
 
-// Options configures Setup. The zero value reproduces the paper's default
+// Options configures SetupWith. The zero value reproduces the paper's default
 // configuration in the V2I-urban scenario.
 type Options struct {
 	Environment Environment // Urban (default) or Rural
@@ -91,7 +91,7 @@ type Options struct {
 	System core.Config // advanced pipeline knobs; zero values take defaults
 
 	// Medium, when non-nil, attaches a shared LoRa medium to the session:
-	// the config is normalized and validated during Setup and the built
+	// the config is normalized and validated during SetupWith and the built
 	// Medium is available from Session.Medium, with its MAC counters
 	// routed into Recorder. Nil (the default) keeps the session
 	// point-to-point, as in the paper. See WithMedium.
@@ -119,18 +119,10 @@ type Session struct {
 	medium *Medium
 }
 
-// Setup builds the simulated link, collects training data, and trains the
-// prediction and reconciliation models.
-//
-// Deprecated: Setup is the legacy struct-only path, kept for
-// compatibility. New code should call SetupWith, which accepts the same
-// Options plus functional options (WithScheme, WithFastPath, WithMedium,
-// ...) and behaves identically for equal effective configurations.
-func Setup(opts Options) (*Session, error) { return SetupWith(opts) }
-
-// SetupWith is Setup with functional options applied over the base
-// struct, in order. SetupWith(Options{}, WithSeed(7)) is equivalent to
-// Setup(Options{Seed: 7}).
+// SetupWith builds the simulated link, collects training data, and
+// trains the prediction and reconciliation models. Functional options
+// apply over the base struct, in order: SetupWith(Options{}, WithSeed(7))
+// is equivalent to SetupWith(Options{Seed: 7}).
 func SetupWith(opts Options, extra ...Option) (*Session, error) {
 	for _, o := range extra {
 		if o != nil {

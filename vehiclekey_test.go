@@ -13,7 +13,7 @@ func TestSetupAndGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	session, err := Setup(quickOptions(1))
+	session, err := SetupWith(quickOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestAttackEvaluation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	session, err := Setup(quickOptions(2))
+	session, err := SetupWith(quickOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	session, err := Setup(quickOptions(3))
+	session, err := SetupWith(quickOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestWindowsAligned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	session, err := Setup(quickOptions(4))
+	session, err := SetupWith(quickOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
