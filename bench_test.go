@@ -24,6 +24,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/reconcile"
 	"repro/internal/rng"
+	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -185,6 +186,32 @@ func BenchmarkProbeExchange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		col.Run(1)
+	}
+}
+
+// BenchmarkSessionWindows times one session's window derivation: the 8
+// aligned windows both ends of a fleet session synthesize, for a new
+// vehicle each iteration (no cache).
+func BenchmarkSessionWindows(b *testing.B) {
+	sc := trace.NewScenario(channel.Urban, channel.V2I)
+	cfg := core.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := server.SessionWindows(sc, cfg, 1, uint64(i), 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceBuild times the default training dataset: 160 windows
+// of 32 features, Alice, Bob and both Eves.
+func BenchmarkTraceBuild(b *testing.B) {
+	sc := trace.NewScenario(channel.Urban, channel.V2I)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Build(sc, int64(i), 160, 32, trace.DefaultExtract()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

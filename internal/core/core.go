@@ -262,19 +262,24 @@ func New(cfg Config, src *rng.Source) *System {
 	pcfg := nn.PredictorConfig{SeqLen: cfg.SeqLen, Hidden: cfg.Hidden, Bits: cfg.bits(), Theta: cfg.Theta}
 	pred := &nnPredictor{cfg: pcfg, net: nn.NewPredictor(pcfg, src.Derive("predictor"))}
 	ae := reconcile.NewAE(cfg.AE, src.Derive("ae"))
-	return &System{
-		Cfg: cfg,
-		Stages: pipeline.Stages{
-			Scheme:        DefaultScheme,
-			Predictor:     pred,
-			Quantizer:     pipeline.NewMultiBit(cfg.quantConfig(cfg.GuardRatio), cfg.quantConfig(cfg.PredGuardRatio)),
-			Reconciler:    pipeline.NewAEStage(ae, cfg.AE, cfg.AEEpochs, cfg.AESamples),
-			Amplifier:     pipeline.NewSHAAmplifier(),
-			IndexExchange: true,
-		},
-		rec:   obs.Nop,
-		pmemo: memo.NewLRU[uint64, predEntry](predMemoCap),
+	return newSystem(cfg, pipeline.Stages{
+		Scheme:        DefaultScheme,
+		Predictor:     pred,
+		Quantizer:     pipeline.NewMultiBit(cfg.quantConfig(cfg.GuardRatio), cfg.quantConfig(cfg.PredGuardRatio)),
+		Reconciler:    pipeline.NewAEStage(ae, cfg.AE, cfg.AEEpochs, cfg.AESamples),
+		Amplifier:     pipeline.NewSHAAmplifier(),
+		IndexExchange: true,
+	})
+}
+
+// newSystem wraps a stage assignment. Only the BiLSTM predictor is
+// worth memoizing: baseline predictors are cheap table lookups.
+func newSystem(cfg Config, st pipeline.Stages) *System {
+	s := &System{Cfg: cfg, Stages: st, rec: obs.Nop}
+	if _, ok := st.Predictor.(*nnPredictor); ok {
+		s.pmemo = memo.NewLRU[uint64, predEntry](predMemoCap)
 	}
+	return s
 }
 
 // predictorNet exposes the concrete BiLSTM for same-package diagnostics
@@ -339,10 +344,16 @@ func (s *System) BobQuantize(bobSeq []float64) (bits []byte, kept []int, err err
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: Bob quantization: %w", err)
 	}
-	rec := s.recorder()
-	rec.Observe(phaseSecQuantize, time.Since(started).Seconds())
-	rec.Observe(phaseBitsQuantize, float64(len(bits)))
+	s.observePhase(phaseSecQuantize, phaseBitsQuantize, started, len(bits))
 	return bits, kept, nil
+}
+
+// observePhase records one pipeline phase's wall time since started and
+// its yield in bits.
+func (s *System) observePhase(sec, bits string, started time.Time, n int) {
+	rec := s.recorder()
+	rec.Observe(sec, time.Since(started).Seconds())
+	rec.Observe(bits, float64(n))
 }
 
 // timedPredict runs the predictor stage under the forward latency
@@ -406,9 +417,7 @@ func (s *System) AlicePrecompute(aliceSeq []float64) (pipeline.Round, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: Alice quantization: %w", err)
 	}
-	rec := s.recorder()
-	rec.Observe(phaseSecPredict, time.Since(started).Seconds())
-	rec.Observe(phaseBitsPredict, float64(len(all)))
+	s.observePhase(phaseSecPredict, phaseBitsPredict, started, len(all))
 	return pipeline.NewRound(all, mine, s.SampleBits()), nil
 }
 
@@ -431,18 +440,42 @@ func (s *System) AliceSelect(aliceSeq []float64, bobKept []int) (bits []byte, ke
 // BobEncode derives the public reconciliation code for one of Bob's key
 // blocks; keyImage is the MAC-keying image the caller must wipe.
 func (s *System) BobEncode(block, salt []byte) (code []float64, keyImage []byte, err error) {
-	return s.Stages.Reconciler.BobEncode(block, salt)
+	started := time.Now()
+	if code, keyImage, err = s.Stages.Reconciler.BobEncode(block, salt); err == nil {
+		s.observePhase(phaseSecReconcile, phaseBitsReconcile, started, len(block))
+	}
+	return code, keyImage, err
 }
 
 // AliceCorrect reconciles Alice's block against Bob's public code;
 // keyImage is the MAC-verification image the caller must wipe.
 func (s *System) AliceCorrect(block []byte, code []float64, salt []byte) (final, keyImage []byte, err error) {
-	return s.Stages.Reconciler.AliceCorrect(block, code, salt)
+	started := time.Now()
+	if final, keyImage, err = s.Stages.Reconciler.AliceCorrect(block, code, salt); err == nil {
+		s.observePhase(phaseSecReconcile, phaseBitsReconcile, started, len(block))
+	}
+	return final, keyImage, err
 }
 
-// Amplify runs the scheme's privacy amplification.
+// reconcileBlock runs the simulated two-sided reconciliation of one
+// block (KeyStream's stand-in for a BobEncode/AliceCorrect exchange).
+func (s *System) reconcileBlock(aliceBits, bobBits, salt []byte) (reconcile.Outcome, error) {
+	started := time.Now()
+	out, err := s.Stages.Reconciler.Reconcile(aliceBits, bobBits, salt)
+	if err == nil {
+		s.observePhase(phaseSecReconcile, phaseBitsReconcile, started, len(bobBits))
+	}
+	return out, err
+}
+
+// Amplify runs the scheme's privacy amplification on one side's block.
 func (s *System) Amplify(bits, salt []byte) ([]byte, error) {
-	return s.Stages.Amplifier.Amplify(bits, salt)
+	started := time.Now()
+	key, err := s.Stages.Amplifier.Amplify(bits, salt)
+	if err == nil {
+		s.observePhase(phaseSecAmplify, phaseBitsAmplify, started, len(key)*8)
+	}
+	return key, err
 }
 
 var _ pipeline.Scheme = (*System)(nil)
@@ -601,27 +634,20 @@ func (ks *KeyStream) emit(aliceBits, bobBits []byte) (KeyResult, error) {
 		PreAgreement:  agreement(aliceBits, bobBits),
 	}
 	ks.duration = 0
-	rec := ks.sys.recorder()
 
-	started := time.Now()
-	out, err := ks.sys.Stages.Reconciler.Reconcile(aliceBits, bobBits, salt)
+	out, err := ks.sys.reconcileBlock(aliceBits, bobBits, salt)
 	if err != nil {
 		return KeyResult{}, fmt.Errorf("core: reconcile: %w", err)
 	}
-	rec.Observe(phaseSecReconcile, time.Since(started).Seconds())
-	rec.Observe(phaseBitsReconcile, float64(len(bobBits)))
 	res.PostAgreement = out.Agreement()
 	res.Exact = out.Exact()
 	res.LeakedBits = out.LeakedKeyBits
-	started = time.Now()
 	if res.AliceKey, err = ks.sys.Amplify(out.AliceKey, salt); err != nil {
 		return KeyResult{}, err
 	}
 	if res.BobKey, err = ks.sys.Amplify(out.BobKey, salt); err != nil {
 		return KeyResult{}, err
 	}
-	rec.Observe(phaseSecAmplify, time.Since(started).Seconds())
-	rec.Observe(phaseBitsAmplify, float64(len(res.BobKey)*8))
 	return res, nil
 }
 

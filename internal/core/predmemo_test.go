@@ -90,3 +90,30 @@ func TestPredictorMemoByteIdentical(t *testing.T) {
 		t.Log("fine-tune left the forward unchanged (allowed, but purge is still required)")
 	}
 }
+
+// TestNewSchemeMemoizes: a registry-built Vehicle-Key system and its
+// clone both memoize predictor forwards (the registry builder must not
+// drop the memo New attaches).
+func TestNewSchemeMemoizes(t *testing.T) {
+	sys, err := NewScheme(DefaultScheme, DefaultConfig(), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := make([]float64, sys.Cfg.SeqLen)
+	for i := range win {
+		win[i] = math.Sin(float64(i))
+	}
+	for name, s := range map[string]*System{"NewScheme": sys, "Clone": sys.Clone()} {
+		if s.pmemo == nil {
+			t.Fatalf("%s: no predictor memo", name)
+		}
+		for i := 0; i < 2; i++ {
+			if _, _, err := s.predict(win); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := s.pmemo.Stats(); st.Hits == 0 {
+			t.Fatalf("%s: repeated window not served from the memo: %+v", name, st)
+		}
+	}
+}

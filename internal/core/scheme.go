@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 )
@@ -93,7 +92,7 @@ func NewScheme(name string, cfg Config, src *rng.Source) (*System, error) {
 		return nil, fmt.Errorf("core: building scheme %q: %w", name, err)
 	}
 	st.Scheme = name
-	return &System{Cfg: cfg, Stages: st, rec: obs.Nop}, nil
+	return newSystem(cfg, st), nil
 }
 
 func init() {

@@ -69,10 +69,8 @@ func Fig16(cfg RunConfig) (Report, error) {
 	}
 	err := forEach(cfg, "fig16", 1, func(_ int, src *rng.Source) error {
 		sc := trace.NewScenario(channel.Urban, channel.V2V)
-		col := trace.NewCollector(sc, src.Int63())
-		ex := col.Run(24)
-		alice, bob := trace.ArRSSI(ex, trace.DefaultExtract())
-		eve := trace.EveArRSSI(ex, trace.DefaultExtract(), true)
+		ft := trace.NewCollector(sc, src.Int63()).Features(24, trace.DefaultExtract())
+		alice, bob, eve := ft.Alice, ft.Bob, ft.EveImitate
 		fa, fb, fe := trace.Flatten(alice), trace.Flatten(bob), trace.Flatten(eve)
 		for i := range fa {
 			r.Rows = append(r.Rows, []string{f("%d", i), f("%.1f", fa[i]), f("%.1f", fb[i]), f("%.1f", fe[i])})

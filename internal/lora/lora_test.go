@@ -131,3 +131,39 @@ func TestDeviceStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiveRangeMatchesReceive: a ranged receive returns exactly the
+// full reception's reads [lo, hi), evaluates the channel only for those
+// reads, and leaves the unit's random stream where a full Receive would
+// (the next OpDelay is bit-identical).
+func TestReceiveRangeMatchesReceive(t *testing.T) {
+	rssiAt := func(tt float64) float64 { return -90 + 12*math.Sin(7*tt) + 3*math.Cos(41*tt) }
+	const start, airtime = 3.25, 1.712
+	n := NewTransceiver(DraginoLoRaShield, rng.New(9)).Reads(airtime)
+	for _, r := range []struct{ lo, hi int }{
+		{0, 0}, {n / 2, n / 2}, {0, n}, {0, 1}, {n - 1, n}, {n / 3, n/3 + 1},
+		{0, n / 10}, {n - n/10, n}, {17, 64}, {-5, 3}, {n - 2, n + 7},
+	} {
+		full := NewTransceiver(DraginoLoRaShield, rng.New(9))
+		part := NewTransceiver(DraginoLoRaShield, rng.New(9))
+		want := full.Receive(rssiAt, start, airtime).RRSSI
+		calls := 0
+		counted := func(tt float64) float64 { calls++; return rssiAt(tt) }
+		got := part.ReceiveRange(counted, start, airtime, r.lo, r.hi)
+		lo, hi := min(max(r.lo, 0), n), min(max(r.hi, 0), n)
+		if len(got) != hi-lo {
+			t.Fatalf("[%d,%d): %d reads, want %d", r.lo, r.hi, len(got), hi-lo)
+		}
+		for i, v := range got {
+			if math.Float64bits(v) != math.Float64bits(want[lo+i]) {
+				t.Fatalf("[%d,%d): read %d = %v, want %v", r.lo, r.hi, lo+i, v, want[lo+i])
+			}
+		}
+		if calls != rssiSmoothingTaps*(hi-lo) {
+			t.Errorf("[%d,%d): channel evaluated %d times, want %d", r.lo, r.hi, calls, rssiSmoothingTaps*(hi-lo))
+		}
+		if a, b := full.OpDelay(), part.OpDelay(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("[%d,%d): next OpDelay %v, want %v", r.lo, r.hi, b, a)
+		}
+	}
+}

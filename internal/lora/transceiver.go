@@ -92,26 +92,58 @@ type Reception struct {
 	PRSSI   float64   // packet-averaged RSSI (dBm)
 }
 
+// Reads returns how many register reads the host takes while a packet
+// of the given airtime is on the air (at least one).
+func (t *Transceiver) Reads(airtime float64) int {
+	n := int(airtime / t.interval)
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// readTime is the absolute timestamp of register read i of a reception
+// starting at start.
+func (t *Transceiver) readTime(start float64, i int) float64 {
+	return start + (float64(i)+0.5)*t.interval
+}
+
 // Receive simulates receiving one packet that is on the air during
 // [start, start+airtime). rssiAt must return the true (noise-free)
 // received power in dBm at an absolute time; it is typically
 // channel.Model.RSSIdBm composed with the peer's transmit power.
 func (t *Transceiver) Receive(rssiAt func(t float64) float64, start, airtime float64) Reception {
-	n := int(airtime / t.interval)
-	if n < 1 {
-		n = 1
-	}
+	n := t.Reads(airtime)
 	rec := Reception{
 		Start:   start,
 		Airtime: airtime,
 		Times:   make([]float64, n),
-		RRSSI:   make([]float64, n),
+		RRSSI:   t.ReceiveRange(rssiAt, start, airtime, 0, n),
 	}
-	for i := 0; i < n; i++ {
-		ts := start + (float64(i)+0.5)*t.interval
-		rec.Times[i] = ts
-		rec.RRSSI[i] = t.measure(rssiAt, ts)
+	for i := range rec.Times {
+		rec.Times[i] = t.readTime(start, i)
 	}
 	rec.PRSSI = mathx.Mean(rec.RRSSI)
 	return rec
+}
+
+// ReceiveRange simulates receiving the same packet as Receive but
+// returns only the register reads [lo, hi) (clamped to [0, Reads]),
+// equal to Receive(...).RRSSI[lo:hi]. The channel is evaluated only
+// inside the range; every read outside it still draws its read noise,
+// in order, so the unit's random stream — and every later OpDelay —
+// advances exactly as under a full Receive.
+func (t *Transceiver) ReceiveRange(rssiAt func(t float64) float64, start, airtime float64, lo, hi int) []float64 {
+	n := t.Reads(airtime)
+	hi = min(max(hi, 0), n)
+	lo = min(max(lo, 0), hi)
+	out := make([]float64, hi-lo)
+	for i := 0; i < n; i++ {
+		if i < lo || i >= hi {
+			t.src.Normal(0, t.prof.noiseStdDB)
+			continue
+		}
+		out[i-lo] = t.measure(rssiAt, t.readTime(start, i))
+	}
+	return out
 }

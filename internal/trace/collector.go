@@ -73,6 +73,69 @@ func (c *Collector) Bob() *lora.Transceiver { return c.bob }
 // Run advances the timeline by n probe/response rounds and returns them.
 func (c *Collector) Run(n int) []Exchange {
 	out := make([]Exchange, 0, n)
+	receive := func(tr *lora.Transceiver, gain func(float64) float64, start float64, _ bool) lora.Reception {
+		return tr.Receive(gain, start, c.airtime)
+	}
+	rounds(c, n, receive, func(idx int, bobRx, alcRx, eveERx, eveIRx lora.Reception, duration float64) {
+		out = append(out, Exchange{
+			Index:          idx,
+			BobRx:          bobRx,
+			AlcRx:          alcRx,
+			EveEavesdropRx: eveERx,
+			EveImitateRx:   eveIRx,
+			Duration:       duration,
+		})
+	})
+	return out
+}
+
+// Features holds per-round arRSSI features for every receiver, equal to
+// what ArRSSI and EveArRSSI extract from the same rounds of Run.
+type Features struct {
+	Alice, Bob               [][]float64
+	EveEavesdrop, EveImitate [][]float64
+	Duration                 []float64 // each round's wall-clock span
+}
+
+// Features advances the timeline by n rounds exactly as Run does, but
+// synthesizes only the register reads the arRSSI edge window consumes
+// and returns their features. Every transceiver and channel component
+// owns an independent random stream, and a ranged receive advances its
+// transceiver's stream as a full one does, so the features are
+// bit-identical to Run's and the collector's state afterwards is the
+// same.
+func (c *Collector) Features(n int, cfg ExtractConfig) Features {
+	cfg = cfg.normalize()
+	f := Features{
+		Alice:        make([][]float64, 0, n),
+		Bob:          make([][]float64, 0, n),
+		EveEavesdrop: make([][]float64, 0, n),
+		EveImitate:   make([][]float64, 0, n),
+		Duration:     make([]float64, 0, n),
+	}
+	receive := func(tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) []float64 {
+		lo, hi := edgeRange(tr.Reads(c.airtime), cfg.WindowFraction, tail)
+		return edgeFeatures(tr.ReceiveRange(gain, start, c.airtime, lo, hi), cfg.Blocks, tail)
+	}
+	rounds(c, n, receive, func(_ int, bob, alc, eveE, eveI []float64, duration float64) {
+		f.Alice = append(f.Alice, alc)
+		f.Bob = append(f.Bob, bob)
+		f.EveEavesdrop = append(f.EveEavesdrop, eveE)
+		f.EveImitate = append(f.EveImitate, eveI)
+		f.Duration = append(f.Duration, duration)
+	})
+	return f
+}
+
+// rounds advances the timeline by n probe/response rounds: the one
+// definition of a round's order of receptions, airtimes and turnaround
+// draws, shared by Run and Features. receive observes one reception;
+// tail marks the probe's receptions, the earlier window of the pair.
+// emit gets each finished round.
+func rounds[R any](c *Collector, n int,
+	receive func(tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) R,
+	emit func(idx int, bobRx, alcRx, eveERx, eveIRx R, duration float64),
+) {
 	tx := c.Model.Config().TxPowerDBm
 	legit := func(t float64) float64 { return tx + c.Model.GainDB(t) }
 	eveEaves := func(t float64) float64 { return tx + c.Model.EveEavesdropGainDB(t) }
@@ -81,30 +144,22 @@ func (c *Collector) Run(n int) []Exchange {
 	for i := 0; i < n; i++ {
 		start := c.now
 		// Alice's probe is on the air; Bob and the eavesdropping Eve hear it.
-		bobRx := c.bob.Receive(legit, c.now, c.airtime)
-		eveERx := c.eve.Receive(eveEaves, c.now, c.airtime)
+		bobRx := receive(c.bob, legit, c.now, true)
+		eveERx := receive(c.eve, eveEaves, c.now, true)
 		c.now += c.airtime
 
 		// Bob turns around.
 		c.now += c.bob.OpDelay()
 
 		// Bob's response is on the air; Alice and the imitating Eve hear it.
-		alcRx := c.alice.Receive(legit, c.now, c.airtime)
-		eveIRx := c.eve.Receive(eveImit, c.now, c.airtime)
+		alcRx := receive(c.alice, legit, c.now, false)
+		eveIRx := receive(c.eve, eveImit, c.now, false)
 		c.now += c.airtime
 
 		// Alice's turnaround before the next probe.
 		c.now += c.alice.OpDelay()
 
-		out = append(out, Exchange{
-			Index:          c.next,
-			BobRx:          bobRx,
-			AlcRx:          alcRx,
-			EveEavesdropRx: eveERx,
-			EveImitateRx:   eveIRx,
-			Duration:       c.now - start,
-		})
+		emit(c.next, bobRx, alcRx, eveERx, eveIRx, c.now-start)
 		c.next++
 	}
-	return out
 }

@@ -36,9 +36,10 @@ type Dataset struct {
 	blockSize int // features per exchange, for detrending
 }
 
-// Build collects enough probe exchanges from the scenario to produce n
-// samples with sequence length seqLen and extracts normalized arRSSI
-// features. All randomness derives from seed.
+// Build runs enough probe rounds in the scenario to produce n samples
+// with sequence length seqLen and extracts normalized arRSSI features
+// (through Collector.Features: only the edge reads are synthesized). All
+// randomness derives from seed.
 func Build(sc Scenario, seed int64, n, seqLen int, cfg ExtractConfig) (*Dataset, error) {
 	if n <= 0 || seqLen <= 0 {
 		return nil, errors.New("trace: n and seqLen must be positive")
@@ -48,11 +49,7 @@ func Build(sc Scenario, seed int64, n, seqLen int, cfg ExtractConfig) (*Dataset,
 		return nil, fmt.Errorf("trace: seqLen %d must be a multiple of Blocks %d", seqLen, cfg.Blocks)
 	}
 	perSample := seqLen / cfg.Blocks
-	col := NewCollector(sc, seed)
-	exchanges := col.Run(n * perSample)
-	alice, bob := ArRSSI(exchanges, cfg)
-	eveE := EveArRSSI(exchanges, cfg, false)
-	eveI := EveArRSSI(exchanges, cfg, true)
+	ft := NewCollector(sc, seed).Features(n*perSample, cfg)
 
 	ds := &Dataset{Scenario: sc, SeqLen: seqLen, Samples: make([]Sample, 0, n), blockSize: cfg.Blocks}
 	for s := 0; s < n; s++ {
@@ -63,11 +60,11 @@ func Build(sc Scenario, seed int64, n, seqLen int, cfg ExtractConfig) (*Dataset,
 			EveImitate:   make([]float64, 0, seqLen),
 		}
 		for e := s * perSample; e < (s+1)*perSample; e++ {
-			smp.Alice = append(smp.Alice, alice[e]...)
-			smp.Bob = append(smp.Bob, bob[e]...)
-			smp.EveEavesdrop = append(smp.EveEavesdrop, eveE[e]...)
-			smp.EveImitate = append(smp.EveImitate, eveI[e]...)
-			smp.Duration += exchanges[e].Duration
+			smp.Alice = append(smp.Alice, ft.Alice[e]...)
+			smp.Bob = append(smp.Bob, ft.Bob[e]...)
+			smp.EveEavesdrop = append(smp.EveEavesdrop, ft.EveEavesdrop[e]...)
+			smp.EveImitate = append(smp.EveImitate, ft.EveImitate[e]...)
+			smp.Duration += ft.Duration[e]
 		}
 		ds.Samples = append(ds.Samples, smp)
 	}

@@ -35,21 +35,40 @@ func (c ExtractConfig) normalize() ExtractConfig {
 	return c
 }
 
-// edgeWindow slices the adjacent edge out of a register-RSSI stream:
-// the trailing fraction when tail is true (the earlier window), else the
-// leading fraction (the later window). At least one sample is returned.
-func edgeWindow(samples []float64, fraction float64, tail bool) []float64 {
-	k := int(fraction * float64(len(samples)))
+// edgeRange is the arRSSI edge rule as an index range over a reception
+// of n register reads: the trailing fraction when tail is true (the
+// earlier window), else the leading fraction (the later window). It
+// covers at least one read whenever there is one.
+func edgeRange(n int, fraction float64, tail bool) (lo, hi int) {
+	k := int(fraction * float64(n))
 	if k < 1 {
 		k = 1
 	}
-	if k > len(samples) {
-		k = len(samples)
+	if k > n {
+		k = n
 	}
 	if tail {
-		return samples[len(samples)-k:]
+		return n - k, n
 	}
-	return samples[:k]
+	return 0, k
+}
+
+// edgeFeatures block-averages one reception's edge reads into blocks
+// arRSSI features. The earlier (tail) window's blocks are mirrored so
+// feature 0 on every side is the block touching the shared window edge.
+func edgeFeatures(edge []float64, blocks int, tail bool) []float64 {
+	f := blockMeans(edge, blocks)
+	if tail {
+		return reverse(f)
+	}
+	return f
+}
+
+// arRSSI extracts one reception's arRSSI features from its full
+// register stream.
+func arRSSI(rrssi []float64, cfg ExtractConfig, tail bool) []float64 {
+	lo, hi := edgeRange(len(rrssi), cfg.WindowFraction, tail)
+	return edgeFeatures(rrssi[lo:hi], cfg.Blocks, tail)
 }
 
 // blockMeans averages samples into n consecutive block means. When there
@@ -86,10 +105,8 @@ func ArRSSI(exchanges []Exchange, cfg ExtractConfig) (alice, bob [][]float64) {
 	alice = make([][]float64, len(exchanges))
 	bob = make([][]float64, len(exchanges))
 	for i, ex := range exchanges {
-		bobEdge := edgeWindow(ex.BobRx.RRSSI, cfg.WindowFraction, true)
-		alcEdge := edgeWindow(ex.AlcRx.RRSSI, cfg.WindowFraction, false)
-		bob[i] = reverse(blockMeans(bobEdge, cfg.Blocks))
-		alice[i] = blockMeans(alcEdge, cfg.Blocks)
+		bob[i] = arRSSI(ex.BobRx.RRSSI, cfg, true)
+		alice[i] = arRSSI(ex.AlcRx.RRSSI, cfg, false)
 	}
 	return alice, bob
 }
@@ -109,11 +126,9 @@ func EveArRSSI(exchanges []Exchange, cfg ExtractConfig, imitate bool) [][]float6
 	out := make([][]float64, len(exchanges))
 	for i, ex := range exchanges {
 		if imitate {
-			edge := edgeWindow(ex.EveImitateRx.RRSSI, cfg.WindowFraction, false)
-			out[i] = blockMeans(edge, cfg.Blocks)
+			out[i] = arRSSI(ex.EveImitateRx.RRSSI, cfg, false)
 		} else {
-			edge := edgeWindow(ex.EveEavesdropRx.RRSSI, cfg.WindowFraction, true)
-			out[i] = reverse(blockMeans(edge, cfg.Blocks))
+			out[i] = arRSSI(ex.EveEavesdropRx.RRSSI, cfg, true)
 		}
 	}
 	return out
