@@ -189,29 +189,46 @@ func BenchmarkProbeExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionWindows times one session's window derivation: the 8
-// aligned windows both ends of a fleet session synthesize, for a new
-// vehicle each iteration (no cache).
+// BenchmarkSessionWindows times one session's window derivation for a
+// new vehicle each iteration (no cache): the 8 aligned windows of both
+// sides (both), or of one side, as the server (alice) and a vehicle
+// (bob) each derive them.
 func BenchmarkSessionWindows(b *testing.B) {
 	sc := trace.NewScenario(channel.Urban, channel.V2I)
 	cfg := core.DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := server.SessionWindows(sc, cfg, 1, uint64(i), 8); err != nil {
-			b.Fatal(err)
-		}
+	for _, side := range []struct {
+		name string
+		rx   trace.Receivers
+	}{{"both", trace.Alice | trace.Bob}, {"alice", trace.Alice}, {"bob", trace.Bob}} {
+		b.Run(side.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := server.SessionWindowsFor(sc, cfg, 1, uint64(i), 8, side.rx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkTraceBuild times the default training dataset: 160 windows
-// of 32 features, Alice, Bob and both Eves.
+// BenchmarkTraceBuild times a 160-window dataset of 32 features: with
+// every receiver (all: Alice, Bob and both Eves, as trace.Build) and
+// with the Alice and Bob sides a training set needs (alice-bob, as
+// vehiclekey.SetupWith).
 func BenchmarkTraceBuild(b *testing.B) {
 	sc := trace.NewScenario(channel.Urban, channel.V2I)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.Build(sc, int64(i), 160, 32, trace.DefaultExtract()); err != nil {
-			b.Fatal(err)
-		}
+	for _, set := range []struct {
+		name string
+		rx   trace.Receivers
+	}{{"all", trace.Alice | trace.Bob | trace.Eve}, {"alice-bob", trace.Alice | trace.Bob}} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := trace.BuildFor(sc, int64(i), 160, 32, trace.DefaultExtract(), set.rx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -97,7 +97,7 @@ func runContention(sys *core.System, sc trace.Scenario, sysCfg core.Config,
 		go func() { // gateway: shared window derivation + the Alice role
 			defer wg.Done()
 			defer func() { _ = s.gconn.Close() }()
-			aliceWin, _, err := server.SessionWindows(sc, sysCfg, mediumSeed, uint64(i), windows)
+			aliceWin, _, err := server.SessionWindowsFor(sc, sysCfg, mediumSeed, uint64(i), windows, trace.Alice)
 			if err != nil {
 				return
 			}

@@ -69,7 +69,7 @@ func runPlatoon(sys *core.System, seed int64, p platoonPoint, cfg RunConfig) (gr
 		},
 		Hub: group.HubConfig{
 			Resolve: func(member uint64, n int) (pipeline.Scheme, [][]float64, error) {
-				alice, _, err := server.SessionWindows(sc, sysCfg, seed, member, n)
+				alice, _, err := server.SessionWindowsFor(sc, sysCfg, seed, member, n, trace.Alice)
 				return sys.Clone(), alice, err
 			},
 			Retry:    contentionPolicy,
@@ -77,7 +77,7 @@ func runPlatoon(sys *core.System, seed int64, p platoonPoint, cfg RunConfig) (gr
 			Recorder: cfg.Obs,
 		},
 		Member: func(member uint64) (group.MemberConfig, error) {
-			_, bob, err := server.SessionWindows(sc, sysCfg, seed, member, windows)
+			_, bob, err := server.SessionWindowsFor(sc, sysCfg, seed, member, windows, trace.Bob)
 			if err != nil {
 				return group.MemberConfig{}, err
 			}

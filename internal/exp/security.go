@@ -69,7 +69,7 @@ func Fig16(cfg RunConfig) (Report, error) {
 	}
 	err := forEach(cfg, "fig16", 1, func(_ int, src *rng.Source) error {
 		sc := trace.NewScenario(channel.Urban, channel.V2V)
-		ft := trace.NewCollector(sc, src.Int63()).Features(24, trace.DefaultExtract())
+		ft := trace.NewCollector(sc, src.Int63()).Features(24, trace.DefaultExtract(), trace.Alice|trace.Bob|trace.Eve)
 		alice, bob, eve := ft.Alice, ft.Bob, ft.EveImitate
 		fa, fb, fe := trace.Flatten(alice), trace.Flatten(bob), trace.Flatten(eve)
 		for i := range fa {

@@ -69,14 +69,14 @@ func platoonDrive(t testing.TB, members int, leavers map[uint64]bool,
 		Seed:    platoonSeed,
 		Hub: HubConfig{
 			Resolve: func(member uint64, n int) (pipeline.Scheme, [][]float64, error) {
-				alice, _, err := server.SessionWindows(sc, sysCfg, platoonSeed, member, n)
+				alice, _, err := server.SessionWindowsFor(sc, sysCfg, platoonSeed, member, n, trace.Alice)
 				return sys.Clone(), alice, err
 			},
 			Retry: retry,
 			Tick:  tick,
 		},
 		Member: func(member uint64) (MemberConfig, error) {
-			_, bob, err := server.SessionWindows(sc, sysCfg, platoonSeed, member, platoonWindows)
+			_, bob, err := server.SessionWindowsFor(sc, sysCfg, platoonSeed, member, platoonWindows, trace.Bob)
 			if err != nil {
 				return MemberConfig{}, err
 			}

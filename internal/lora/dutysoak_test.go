@@ -73,7 +73,7 @@ func TestDutyCycleContentionTerminates(t *testing.T) {
 			defer wg.Done()
 			conn := sessions[i].g
 			defer func() { _ = conn.Close() }()
-			aliceWin, _, err := server.SessionWindows(sc, cfg, 5, uint64(i), windows)
+			aliceWin, _, err := server.SessionWindowsFor(sc, cfg, 5, uint64(i), windows, trace.Alice)
 			if err != nil {
 				return
 			}

@@ -112,7 +112,7 @@ func soakTranscript(t *testing.T, vehicles, windows int) string {
 			defer wg.Done()
 			conn := sessions[i].gconn
 			defer func() { _ = conn.Close() }()
-			aliceWin, _, err := server.SessionWindows(sc, cfg, soakSeed, uint64(i), windows)
+			aliceWin, _, err := server.SessionWindowsFor(sc, cfg, soakSeed, uint64(i), windows, trace.Alice)
 			if err != nil {
 				return
 			}

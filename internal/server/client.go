@@ -50,7 +50,7 @@ func RunVehicle(conn transport.Conn, sys pipeline.Scheme, sc trace.Scenario, cfg
 	if err := sendHello(conn, &v); err != nil {
 		return nil, err
 	}
-	_, bobWin, err := SessionWindows(sc, cfg, seed, v.ID, v.Windows)
+	_, bobWin, err := SessionWindowsFor(sc, cfg, seed, v.ID, v.Windows, trace.Bob)
 	if err != nil {
 		return nil, err
 	}
@@ -61,9 +61,10 @@ func RunVehicle(conn transport.Conn, sys pipeline.Scheme, sc trace.Scenario, cfg
 // RunVehicleWindows is RunVehicle for a caller that already holds the
 // vehicle's Bob-side windows (a reconnecting client, or a load generator
 // reusing one derivation across sessions — the client-side mirror of the
-// server's window cache). bobWin must come from SessionWindows with the
-// scenario/config/seed the server was configured with; v.Windows is
-// overridden to len(bobWin) so the announcement always matches.
+// server's window cache). bobWin must come from SessionWindows or
+// SessionWindowsFor with the scenario/config/seed the server was
+// configured with; v.Windows is overridden to len(bobWin) so the
+// announcement always matches.
 func RunVehicleWindows(conn transport.Conn, sys pipeline.Scheme, bobWin [][]float64, v Vehicle, opts ...protocol.Option) ([]protocol.KeyOutcome, error) {
 	if len(bobWin) == 0 {
 		return nil, fmt.Errorf("server: vehicle %d: no windows", v.ID)

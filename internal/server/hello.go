@@ -92,24 +92,35 @@ func decodeHello(data []byte) (Hello, error) {
 	return h, nil
 }
 
-// SessionWindows derives one session's aligned measurement windows. Both
-// endpoints call it with the same scenario, configuration, shared seed,
-// and vehicle ID, then keep only their own side — the server (Alice)
-// uses the alice windows, the vehicle (Bob) the bob windows. The
-// derivation reuses the experiment engine's sub-stream discipline
-// (rng.SubSeed), so every vehicle gets a decoupled, order-independent
-// channel realization, and the trace layer's per-window normalization
-// keeps these small per-session datasets consistent with the training
-// distribution.
+// SessionWindows derives one session's aligned measurement windows for
+// both legitimate sides: SessionWindowsFor with Alice and Bob.
 func SessionWindows(sc trace.Scenario, cfg core.Config, seed int64, vehicle uint64, n int) (alice, bob [][]float64, err error) {
+	return SessionWindowsFor(sc, cfg, seed, vehicle, n, trace.Alice|trace.Bob)
+}
+
+// SessionWindowsFor derives one session's measurement windows for the
+// legitimate sides in rx; a side rx does not select comes back nil. Both
+// endpoints call it with the same scenario, configuration, shared seed,
+// and vehicle ID, each selecting only its own side — the server (Alice)
+// trace.Alice, the vehicle (Bob) trace.Bob — and get exactly the windows
+// a joint derivation gives that side. The derivation reuses the
+// experiment engine's sub-stream discipline (rng.SubSeed), so every
+// vehicle gets a decoupled, order-independent channel realization, and
+// the trace layer's per-window normalization keeps these small
+// per-session datasets consistent with the training distribution.
+func SessionWindowsFor(sc trace.Scenario, cfg core.Config, seed int64, vehicle uint64, n int, rx trace.Receivers) (alice, bob [][]float64, err error) {
 	cfg.Normalize()
-	ds, err := trace.Build(sc, rng.SubSeed(seed, "server/session", int(vehicle)), n, cfg.SeqLen, trace.DefaultExtract())
+	ds, err := trace.BuildFor(sc, rng.SubSeed(seed, "server/session", int(vehicle)), n, cfg.SeqLen, trace.DefaultExtract(), rx)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: session windows: %w", err)
 	}
 	for _, smp := range ds.Samples {
-		alice = append(alice, smp.Alice)
-		bob = append(bob, smp.Bob)
+		if rx&trace.Alice != 0 {
+			alice = append(alice, smp.Alice)
+		}
+		if rx&trace.Bob != 0 {
+			bob = append(bob, smp.Bob)
+		}
 	}
 	return alice, bob, nil
 }

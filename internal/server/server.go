@@ -55,13 +55,13 @@ type winKey struct {
 	n       int
 }
 
-// winVal is one memoized derivation. The nested slices are shared across
-// every session that hits the key — including concurrent workers — and
-// are read-only by contract: the pipeline stages only read measurement
-// windows (wincache_test.go proves cached == fresh and the race soak
-// exercises the sharing).
+// winVal is one memoized derivation of the server's (Alice's) side. The
+// nested slices are shared across every session that hits the key —
+// including concurrent workers — and are read-only by contract: the
+// pipeline stages only read measurement windows (wincache_test.go proves
+// cached == fresh and the race soak exercises the sharing).
 type winVal struct {
-	alice, bob [][]float64
+	alice [][]float64
 }
 
 // ErrServerClosed reports an operation on a closed server.
@@ -378,9 +378,12 @@ func (s *Server) run(sys *core.System, conn transport.Conn) Result {
 // identical by determinism, so Put-after-Get needs no locking beyond the
 // LRU's own.
 func (s *Server) sessionWindows(vehicle uint64, n int) ([][]float64, error) {
-	if s.wins == nil {
-		alice, _, err := SessionWindows(s.cfg.Scenario, s.cfg.Template.Cfg, s.cfg.Seed, vehicle, n)
+	derive := func() ([][]float64, error) {
+		alice, _, err := SessionWindowsFor(s.cfg.Scenario, s.cfg.Template.Cfg, s.cfg.Seed, vehicle, n, trace.Alice)
 		return alice, err
+	}
+	if s.wins == nil {
+		return derive()
 	}
 	k := winKey{vehicle: vehicle, n: n}
 	if v, ok := s.wins.Get(k); ok {
@@ -388,11 +391,11 @@ func (s *Server) sessionWindows(vehicle uint64, n int) ([][]float64, error) {
 		return v.alice, nil
 	}
 	s.rec.Add(cacheMissWindows, 1)
-	alice, bob, err := SessionWindows(s.cfg.Scenario, s.cfg.Template.Cfg, s.cfg.Seed, vehicle, n)
+	alice, err := derive()
 	if err != nil {
 		return nil, err
 	}
-	s.wins.Put(k, winVal{alice: alice, bob: bob})
+	s.wins.Put(k, winVal{alice: alice})
 	return alice, nil
 }
 

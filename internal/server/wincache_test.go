@@ -46,9 +46,9 @@ func sameWindows(a, b [][]float64) bool {
 	return true
 }
 
-// TestSessionWindowsCachedByteIdentical: the memoized derivation must be
-// indistinguishable from calling SessionWindows directly — cold miss,
-// warm hit, and with caching disabled.
+// TestSessionWindowsCachedByteIdentical: the memoized Alice-only
+// derivation must be indistinguishable from Alice's side of the joint
+// SessionWindows — cold miss, warm hit, and with caching disabled.
 func TestSessionWindowsCachedByteIdentical(t *testing.T) {
 	srv := newWinCacheServer(t, 0) // 0 → default size
 	for _, vehicle := range []uint64{1, 99, 1 << 40} {

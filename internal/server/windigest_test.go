@@ -30,7 +30,9 @@ func windowsDigest(alice, bob [][]float64) string {
 // TestSessionWindowsGoldenDigest pins the exact windows SessionWindows
 // derives for fixed (seed, vehicle) pairs. The digests were captured
 // when every register read of every reception was synthesized; the
-// edge-only derivation must reproduce them bit for bit.
+// edge-only derivation must reproduce them bit for bit, and so must the
+// one-side derivations each endpoint runs (Alice-only and Bob-only,
+// combined).
 func TestSessionWindowsGoldenDigest(t *testing.T) {
 	sc := trace.NewScenario(channel.Urban, channel.V2I)
 	cfg := core.DefaultConfig()
@@ -50,6 +52,20 @@ func TestSessionWindowsGoldenDigest(t *testing.T) {
 		}
 		if got := windowsDigest(alice, bob); got != g.digest {
 			t.Errorf("seed %d vehicle %d: digest %s, want %s", g.seed, g.vehicle, got, g.digest)
+		}
+		aliceOnly, noBob, err := SessionWindowsFor(sc, cfg, g.seed, g.vehicle, g.n, trace.Alice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noAlice, bobOnly, err := SessionWindowsFor(sc, cfg, g.seed, g.vehicle, g.n, trace.Bob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if noBob != nil || noAlice != nil {
+			t.Errorf("seed %d vehicle %d: a one-side derivation returned the other side", g.seed, g.vehicle)
+		}
+		if got := windowsDigest(aliceOnly, bobOnly); got != g.digest {
+			t.Errorf("seed %d vehicle %d: one-side digest %s, want %s", g.seed, g.vehicle, got, g.digest)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func (c *Collector) Bob() *lora.Transceiver { return c.bob }
 // Run advances the timeline by n probe/response rounds and returns them.
 func (c *Collector) Run(n int) []Exchange {
 	out := make([]Exchange, 0, n)
-	receive := func(tr *lora.Transceiver, gain func(float64) float64, start float64, _ bool) lora.Reception {
+	receive := func(_ Receivers, tr *lora.Transceiver, gain func(float64) float64, start float64, _ bool) lora.Reception {
 		return tr.Receive(gain, start, c.airtime)
 	}
 	rounds(c, n, receive, func(idx int, bobRx, alcRx, eveERx, eveIRx lora.Reception, duration float64) {
@@ -89,8 +89,19 @@ func (c *Collector) Run(n int) []Exchange {
 	return out
 }
 
-// Features holds per-round arRSSI features for every receiver, equal to
-// what ArRSSI and EveArRSSI extract from the same rounds of Run.
+// Receivers selects which receivers' features Collector.Features and
+// BuildFor synthesize. Eve covers both of her positions.
+type Receivers uint8
+
+const (
+	Alice Receivers = 1 << iota // Alice receiving Bob's response
+	Bob                         // Bob receiving Alice's probe
+	Eve                         // both Eves: eavesdropping and imitating
+)
+
+// Features holds per-round arRSSI features for the selected receivers,
+// equal to what ArRSSI and EveArRSSI extract from the same rounds of
+// Run. An unselected receiver's field is nil.
 type Features struct {
 	Alice, Bob               [][]float64
 	EveEavesdrop, EveImitate [][]float64
@@ -98,30 +109,47 @@ type Features struct {
 }
 
 // Features advances the timeline by n rounds exactly as Run does, but
-// synthesizes only the register reads the arRSSI edge window consumes
-// and returns their features. Every transceiver and channel component
-// owns an independent random stream, and a ranged receive advances its
+// synthesizes only the register reads the arRSSI edge windows of the
+// receivers in rx consume and returns their features. An unselected
+// reception is an empty range: it evaluates no channel but still draws
+// every read's noise. Every transceiver and channel component owns an
+// independent random stream, and a ranged receive advances its
 // transceiver's stream as a full one does, so the features are
 // bit-identical to Run's and the collector's state afterwards is the
-// same.
-func (c *Collector) Features(n int, cfg ExtractConfig) Features {
+// same, whatever rx selects.
+func (c *Collector) Features(n int, cfg ExtractConfig, rx Receivers) Features {
 	cfg = cfg.normalize()
+	side := func(who Receivers) [][]float64 {
+		if rx&who == 0 {
+			return nil
+		}
+		return make([][]float64, 0, n)
+	}
 	f := Features{
-		Alice:        make([][]float64, 0, n),
-		Bob:          make([][]float64, 0, n),
-		EveEavesdrop: make([][]float64, 0, n),
-		EveImitate:   make([][]float64, 0, n),
+		Alice:        side(Alice),
+		Bob:          side(Bob),
+		EveEavesdrop: side(Eve),
+		EveImitate:   side(Eve),
 		Duration:     make([]float64, 0, n),
 	}
-	receive := func(tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) []float64 {
+	receive := func(who Receivers, tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) []float64 {
+		if rx&who == 0 {
+			tr.ReceiveRange(gain, start, c.airtime, 0, 0)
+			return nil
+		}
 		lo, hi := edgeRange(tr.Reads(c.airtime), cfg.WindowFraction, tail)
 		return edgeFeatures(tr.ReceiveRange(gain, start, c.airtime, lo, hi), cfg.Blocks, tail)
 	}
+	keep := func(side *[][]float64, x []float64) {
+		if *side != nil { // selected
+			*side = append(*side, x)
+		}
+	}
 	rounds(c, n, receive, func(_ int, bob, alc, eveE, eveI []float64, duration float64) {
-		f.Alice = append(f.Alice, alc)
-		f.Bob = append(f.Bob, bob)
-		f.EveEavesdrop = append(f.EveEavesdrop, eveE)
-		f.EveImitate = append(f.EveImitate, eveI)
+		keep(&f.Alice, alc)
+		keep(&f.Bob, bob)
+		keep(&f.EveEavesdrop, eveE)
+		keep(&f.EveImitate, eveI)
 		f.Duration = append(f.Duration, duration)
 	})
 	return f
@@ -129,11 +157,11 @@ func (c *Collector) Features(n int, cfg ExtractConfig) Features {
 
 // rounds advances the timeline by n probe/response rounds: the one
 // definition of a round's order of receptions, airtimes and turnaround
-// draws, shared by Run and Features. receive observes one reception;
-// tail marks the probe's receptions, the earlier window of the pair.
-// emit gets each finished round.
+// draws, shared by Run and Features. receive observes one reception by
+// the receiver who; tail marks the probe's receptions, the earlier
+// window of the pair. emit gets each finished round.
 func rounds[R any](c *Collector, n int,
-	receive func(tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) R,
+	receive func(who Receivers, tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) R,
 	emit func(idx int, bobRx, alcRx, eveERx, eveIRx R, duration float64),
 ) {
 	tx := c.Model.Config().TxPowerDBm
@@ -144,16 +172,16 @@ func rounds[R any](c *Collector, n int,
 	for i := 0; i < n; i++ {
 		start := c.now
 		// Alice's probe is on the air; Bob and the eavesdropping Eve hear it.
-		bobRx := receive(c.bob, legit, c.now, true)
-		eveERx := receive(c.eve, eveEaves, c.now, true)
+		bobRx := receive(Bob, c.bob, legit, c.now, true)
+		eveERx := receive(Eve, c.eve, eveEaves, c.now, true)
 		c.now += c.airtime
 
 		// Bob turns around.
 		c.now += c.bob.OpDelay()
 
 		// Bob's response is on the air; Alice and the imitating Eve hear it.
-		alcRx := receive(c.alice, legit, c.now, false)
-		eveIRx := receive(c.eve, eveImit, c.now, false)
+		alcRx := receive(Alice, c.alice, legit, c.now, false)
+		eveIRx := receive(Eve, c.eve, eveImit, c.now, false)
 		c.now += c.airtime
 
 		// Alice's turnaround before the next probe.

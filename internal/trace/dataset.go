@@ -29,18 +29,28 @@ type Sample struct {
 type Dataset struct {
 	Scenario Scenario
 	Samples  []Sample
-	Mean     float64
-	Std      float64
-	SeqLen   int
+	// Mean and Std are the raw features' dataset-level mean and standard
+	// deviation over the legitimate sides the dataset derived: Alice and
+	// Bob for Build, those of the two in rx for BuildFor.
+	Mean   float64
+	Std    float64
+	SeqLen int
 
 	blockSize int // features per exchange, for detrending
 }
 
 // Build runs enough probe rounds in the scenario to produce n samples
 // with sequence length seqLen and extracts normalized arRSSI features
-// (through Collector.Features: only the edge reads are synthesized). All
-// randomness derives from seed.
+// for every receiver. All randomness derives from seed.
 func Build(sc Scenario, seed int64, n, seqLen int, cfg ExtractConfig) (*Dataset, error) {
+	return BuildFor(sc, seed, n, seqLen, cfg, Alice|Bob|Eve)
+}
+
+// BuildFor is Build for the receivers in rx only (through
+// Collector.Features: only their edge reads are synthesized). A selected
+// side's samples are bit-identical to Build's; an unselected side's are
+// nil.
+func BuildFor(sc Scenario, seed int64, n, seqLen int, cfg ExtractConfig, rx Receivers) (*Dataset, error) {
 	if n <= 0 || seqLen <= 0 {
 		return nil, errors.New("trace: n and seqLen must be positive")
 	}
@@ -49,22 +59,29 @@ func Build(sc Scenario, seed int64, n, seqLen int, cfg ExtractConfig) (*Dataset,
 		return nil, fmt.Errorf("trace: seqLen %d must be a multiple of Blocks %d", seqLen, cfg.Blocks)
 	}
 	perSample := seqLen / cfg.Blocks
-	ft := NewCollector(sc, seed).Features(n*perSample, cfg)
+	ft := NewCollector(sc, seed).Features(n*perSample, cfg, rx)
 
 	ds := &Dataset{Scenario: sc, SeqLen: seqLen, Samples: make([]Sample, 0, n), blockSize: cfg.Blocks}
 	for s := 0; s < n; s++ {
-		smp := Sample{
-			Alice:        make([]float64, 0, seqLen),
-			Bob:          make([]float64, 0, seqLen),
-			EveEavesdrop: make([]float64, 0, seqLen),
-			EveImitate:   make([]float64, 0, seqLen),
+		lo, hi := s*perSample, (s+1)*perSample
+		window := func(side [][]float64) []float64 {
+			if side == nil {
+				return nil
+			}
+			out := make([]float64, 0, seqLen)
+			for _, f := range side[lo:hi] {
+				out = append(out, f...)
+			}
+			return out
 		}
-		for e := s * perSample; e < (s+1)*perSample; e++ {
-			smp.Alice = append(smp.Alice, ft.Alice[e]...)
-			smp.Bob = append(smp.Bob, ft.Bob[e]...)
-			smp.EveEavesdrop = append(smp.EveEavesdrop, ft.EveEavesdrop[e]...)
-			smp.EveImitate = append(smp.EveImitate, ft.EveImitate[e]...)
-			smp.Duration += ft.Duration[e]
+		smp := Sample{
+			Alice:        window(ft.Alice),
+			Bob:          window(ft.Bob),
+			EveEavesdrop: window(ft.EveEavesdrop),
+			EveImitate:   window(ft.EveImitate),
+		}
+		for _, d := range ft.Duration[lo:hi] {
+			smp.Duration += d
 		}
 		ds.Samples = append(ds.Samples, smp)
 	}

@@ -116,7 +116,7 @@ func (s *Session) RunPlatoon(cfg PlatoonConfig) (PlatoonReport, error) {
 		Seed:    s.opts.Seed,
 		Hub: group.HubConfig{
 			Resolve: func(member uint64, n int) (pipeline.Scheme, [][]float64, error) {
-				alice, _, err := server.SessionWindows(sc, s.opts.System, s.opts.Seed, member, n)
+				alice, _, err := server.SessionWindowsFor(sc, s.opts.System, s.opts.Seed, member, n, trace.Alice)
 				return s.sys.Clone(), alice, err
 			},
 			Retry:    cfg.Retry,
@@ -124,7 +124,7 @@ func (s *Session) RunPlatoon(cfg PlatoonConfig) (PlatoonReport, error) {
 			Recorder: s.rec,
 		},
 		Member: func(member uint64) (group.MemberConfig, error) {
-			_, bob, err := server.SessionWindows(sc, s.opts.System, s.opts.Seed, member, cfg.Windows)
+			_, bob, err := server.SessionWindowsFor(sc, s.opts.System, s.opts.Seed, member, cfg.Windows, trace.Bob)
 			if err != nil {
 				return group.MemberConfig{}, err
 			}

@@ -112,7 +112,8 @@ type Options struct {
 type Session struct {
 	opts   Options
 	sys    *core.System
-	test   *trace.Dataset
+	test   *trace.Dataset // held-out windows, Alice and Bob
+	attack *trace.Dataset // the same windows, Bob and Eve (EvaluateAttack)
 	src    *rng.Source
 	cursor int
 	rec    obs.Recorder
@@ -178,14 +179,13 @@ func SetupWith(opts Options, extra ...Option) (*Session, error) {
 		return nil, fmt.Errorf("vehiclekey: %w", &core.ErrUnknownScheme{Name: opts.Scheme, Known: core.SchemeNames()})
 	}
 
-	sc := trace.NewScenario(opts.Environment, opts.Link)
-	sc.SpeedAKmh = opts.SpeedKmh
-	ds, err := trace.Build(sc, opts.Seed, opts.TrainingWindows, opts.System.SeqLen, trace.DefaultExtract())
+	// Training and the held-out windows read only Alice and Bob;
+	// EvaluateAttack derives Eve's views when it is called.
+	src := rng.New(opts.Seed + 1)
+	train, test, err := splitWindows(opts, trace.Alice|trace.Bob, src)
 	if err != nil {
 		return nil, fmt.Errorf("vehiclekey: %w", err)
 	}
-	src := rng.New(opts.Seed + 1)
-	train, _, test := ds.Split(0.75, 0.05, src.Derive("split"))
 	sys, err := core.NewScheme(opts.Scheme, opts.System, src.Derive("sys"))
 	if err != nil {
 		return nil, fmt.Errorf("vehiclekey: %w", err)
@@ -203,6 +203,21 @@ func SetupWith(opts Options, extra ...Option) (*Session, error) {
 		opts.Observer.SessionTrained(opts.Seed, opts.TrainingEpochs)
 	}
 	return &Session{opts: opts, sys: sys, test: test, src: src, rec: rec, medium: medium}, nil
+}
+
+// splitWindows builds the session's dataset for the receivers in rx and
+// splits it into training and held-out parts with the first stream
+// derived from src, so every rx yields the same split of the same
+// windows.
+func splitWindows(opts Options, rx trace.Receivers, src *rng.Source) (train, test *trace.Dataset, err error) {
+	sc := trace.NewScenario(opts.Environment, opts.Link)
+	sc.SpeedAKmh = opts.SpeedKmh
+	ds, err := trace.BuildFor(sc, opts.Seed, opts.TrainingWindows, opts.System.SeqLen, trace.DefaultExtract(), rx)
+	if err != nil {
+		return nil, nil, err
+	}
+	train, _, test = ds.Split(0.75, 0.05, src.Derive("split"))
+	return train, test, nil
 }
 
 // System exposes the trained pipeline for advanced use (protocol nodes,
@@ -272,8 +287,17 @@ func (s *Session) Evaluate() (Metrics, error) {
 
 // EvaluateAttack measures an attacker's agreement: imitate=true for an
 // Eve tailing the vehicle, false for one parked near the infrastructure.
+// The first call derives Eve's views of the held-out windows (with Bob's
+// again), the same windows SetupWith split off.
 func (s *Session) EvaluateAttack(imitate bool) (Metrics, error) {
-	return s.sys.EvaluateEve(s.test, imitate, []byte("attack"))
+	if s.attack == nil {
+		_, test, err := splitWindows(s.opts, trace.Bob|trace.Eve, rng.New(s.opts.Seed+1))
+		if err != nil {
+			return Metrics{}, fmt.Errorf("vehiclekey: %w", err)
+		}
+		s.attack = test
+	}
+	return s.sys.EvaluateEve(s.attack, imitate, []byte("attack"))
 }
 
 // RandomnessReport runs the NIST battery over a stream of generated keys.

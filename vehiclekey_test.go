@@ -2,7 +2,11 @@ package vehiclekey
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func quickOptions(seed int64) Options {
@@ -56,6 +60,30 @@ func TestAttackEvaluation(t *testing.T) {
 	}
 	if eve.ExactRate > 0 {
 		t.Error("Eve must not complete keys")
+	}
+	// Eve's views are derived on demand; both attacks must score exactly
+	// as over the held-out part of a full, every-receiver build.
+	_, full, err := splitWindows(session.opts, trace.Alice|trace.Bob|trace.Eve, rng.New(session.opts.Seed+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, smp := range session.test.Samples {
+		if fmt.Sprint(smp.Alice, smp.Bob) != fmt.Sprint(full.Samples[i].Alice, full.Samples[i].Bob) {
+			t.Fatalf("held-out window %d differs from the full build's", i)
+		}
+	}
+	for _, imitate := range []bool{false, true} {
+		got, err := session.EvaluateAttack(imitate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := session.sys.EvaluateEve(full, imitate, []byte("attack"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Errorf("imitate=%v: EvaluateAttack %+v, want %+v", imitate, got, want)
+		}
 	}
 }
 
