@@ -52,11 +52,13 @@ bench-compare:
 	@test -f $(NEW) || BENCH_PATTERN='BenchmarkScheme$$' BENCH_TIME=20x ./scripts/bench-json.sh $(NEW)
 	./scripts/bench-compare.sh $(NEW) $(BASE)
 
-# Seed-corpus fuzz smoke: the wire formats (protocol envelope codec, TCP
-# frame decoder) and the fast-inference numerics (GEMM kernels vs the
-# naive multiply).
+# Seed-corpus fuzz smoke: the wire formats (protocol envelope, server
+# hello and group frame codecs, TCP frame decoder) and the
+# fast-inference numerics (GEMM kernels vs the naive multiply).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeHello -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/group/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecode -fuzztime 30s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzGEMM -fuzztime 30s ./internal/mathx/
 

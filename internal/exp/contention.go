@@ -19,9 +19,11 @@ func init() {
 	register("airtime", AirtimeExp)
 }
 
-// contentionPolicy works in the medium's virtual seconds: one protocol
-// message is a multi-fragment burst of a second or two on the air, so
-// the initial receive deadline sits above a full round trip.
+// contentionPolicy works in the medium's virtual seconds. Most protocol
+// messages fit one fragment, well under a second on the air at the
+// medium's SF7, but on a contended channel listen-before-talk backoff
+// and duty-cycle waits stretch a round trip to seconds, so the initial
+// receive deadline sits above a full round trip.
 var contentionPolicy = protocol.RetryPolicy{
 	Timeout:    4 * time.Second,
 	MaxTimeout: 16 * time.Second,

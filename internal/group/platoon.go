@@ -309,9 +309,7 @@ func (s *HubSession) awaitJoin(conn transport.Conn) (frame, error) {
 		// starts the pairwise run. A lost welcome is repaired by the
 		// member's bounded retries; leftover join duplicates are skipped
 		// by the protocol layer as ARQ garbage.
-		if wel, werr := encodeFrame(frame{Kind: kindWelcome, Member: fr.Member}); werr == nil {
-			_ = conn.Send(wel)
-		}
+		_ = conn.Send(encodeFrame(frame{Kind: kindWelcome, Member: fr.Member}))
 		return fr, nil
 	}
 	return frame{}, errors.New("group: no join before deadline")
@@ -358,9 +356,14 @@ func (s *HubSession) linkLoop(l *memberLink) {
 	attempts, sinceSend := 0, 0
 	for {
 		if s.isClosed() {
-			if data, err := encodeFrame(frame{Kind: kindBye, Member: l.member}); err == nil {
-				_ = l.conn.Send(data)
-			}
+			_ = l.conn.Send(encodeFrame(frame{Kind: kindBye, Member: l.member}))
+			// Close the link as the loop ends, not after every loop has:
+			// on a lockstep medium a device counts as runnable until it
+			// parks or its link closes, so a loop returning with its link
+			// open freezes the clock for the loops still waiting for a
+			// tick to notice the close. The bye is already delivered (or
+			// lost) when Send returns, and delivered frames drain first.
+			_ = l.conn.Close()
 			return
 		}
 		if cur == nil {
@@ -480,10 +483,7 @@ func (s *HubSession) Rekey(entropy []byte) (RekeyOutcome, error) {
 		if link == nil {
 			continue // departed between the seal and the fan-out
 		}
-		data, err := encodeFrame(frame{Kind: kindKey, Member: link.member, Epoch: env.Epoch, Sealed: env.Sealed})
-		if err != nil {
-			return RekeyOutcome{}, err
-		}
+		data := encodeFrame(frame{Kind: kindKey, Member: link.member, Epoch: env.Epoch, Sealed: env.Sealed})
 		req := &deliverReq{env: env, data: data, started: started, done: make(chan bool, 1)}
 		out.Members = append(out.Members, link.member)
 		select {
@@ -646,10 +646,7 @@ func JoinPlatoon(conn transport.Conn, cfg MemberConfig) (*MemberSession, error) 
 		cfg.Linger = 5 * cfg.Tick
 	}
 	rec := obs.OrNop(cfg.Recorder)
-	join, err := encodeFrame(frame{Kind: kindJoin, Member: cfg.Member, Windows: len(cfg.Windows)})
-	if err != nil {
-		return nil, err
-	}
+	join := encodeFrame(frame{Kind: kindJoin, Member: cfg.Member, Windows: len(cfg.Windows)})
 	// Reliable join: a join is a single unacknowledged datagram, so on
 	// the contended medium the whole platoon's joins can collide in the
 	// ignition window. Retransmit each tick until the hub welcomes us;
@@ -783,9 +780,7 @@ func (m *MemberSession) AwaitKey(wait time.Duration) ([]byte, uint32, error) {
 // ack sends an epoch acknowledgement (best-effort; the hub retransmits
 // the envelope if the ack is lost).
 func (m *MemberSession) ack(epoch uint32) {
-	if data, err := encodeFrame(frame{Kind: kindAck, Member: m.member, Epoch: epoch}); err == nil {
-		_ = m.conn.Send(data)
-	}
+	_ = m.conn.Send(encodeFrame(frame{Kind: kindAck, Member: m.member, Epoch: epoch}))
 }
 
 // Leave departs the platoon in two phases, both on the conn's clock:
@@ -818,10 +813,7 @@ func (m *MemberSession) Leave() error {
 			m.ack(fr.Epoch)
 		}
 	}
-	leave, err := encodeFrame(frame{Kind: kindLeave, Member: m.member})
-	if err != nil {
-		return m.Close()
-	}
+	leave := encodeFrame(frame{Kind: kindLeave, Member: m.member})
 	for budget := ticks(m.linger, m.tick); budget > 0; budget-- {
 		if err := m.conn.Send(leave); err != nil {
 			break

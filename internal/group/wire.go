@@ -1,23 +1,21 @@
 package group
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"fmt"
-	"hash/crc32"
+	"math"
+
+	"repro/internal/transport"
 )
 
-// The group wire format frames platoon control traffic the same way the
-// protocol layer frames its envelopes: a CRC32 header over a gob
-// payload, a magic word to distinguish it from the pairwise protocol's
-// envelopes (both travel on the same conn), and hard decode caps so a
-// hostile or corrupted frame is rejected before anything oversized is
-// trusted. Frames that fail to decode are skipped by both ends' receive
-// loops — on a shared medium a late protocol retransmit routinely lands
-// between group frames, and the ARQ layer's copies/retransmits make
-// skipping safe.
+// The group wire format frames platoon control traffic in the same
+// transport wire layout as the protocol layer's envelopes: a CRC32 over
+// the rest, a magic word to distinguish it from the pairwise protocol's
+// envelopes (both travel on the same conn), then the fields in
+// declaration order under hard decode caps, so a hostile or corrupted
+// frame is rejected before anything oversized is trusted. Frames that
+// fail to decode are skipped by both ends' receive loops — on a shared
+// medium a late protocol retransmit routinely lands between group
+// frames, and the ARQ layer's copies/retransmits make skipping safe.
 
 // frameMagic distinguishes group frames from protocol envelopes and
 // server hellos at decode.
@@ -64,7 +62,6 @@ var errNotGroupFrame = errors.New("group: not a group frame")
 //
 //vklint:wire -- decoded from unauthenticated peers; treat field reads as hostile
 type frame struct {
-	Magic   uint32
 	Kind    uint8
 	Member  uint64
 	Epoch   uint32
@@ -72,45 +69,39 @@ type frame struct {
 	Sealed  []byte
 }
 
-// encodeFrame frames fr with the CRC32-over-gob layout.
-func encodeFrame(fr frame) ([]byte, error) {
-	fr.Magic = frameMagic
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4))
-	if err := gob.NewEncoder(&buf).Encode(fr); err != nil {
-		return nil, fmt.Errorf("group: encode frame: %w", err)
-	}
-	data := buf.Bytes()
-	binary.BigEndian.PutUint32(data[:4], crc32.ChecksumIEEE(data[4:]))
-	return data, nil
+// encodeFrame writes fr in the transport wire layout under frameMagic.
+func encodeFrame(fr frame) []byte {
+	b := transport.NewWire(frameMagic, 32+len(fr.Sealed))
+	b = transport.AppendUvarint(b, uint64(fr.Kind))
+	b = transport.AppendUvarint(b, fr.Member)
+	b = transport.AppendUvarint(b, uint64(fr.Epoch))
+	b = transport.AppendInt(b, fr.Windows)
+	b = transport.AppendBytes(b, fr.Sealed)
+	return transport.SealWire(b)
 }
 
 // decodeFrame parses and validates one group frame. Anything that is
 // not well-formed within the caps reports errNotGroupFrame.
 func decodeFrame(data []byte) (frame, error) {
-	if len(data) < 4 || len(data) > MaxFrameBytes {
+	r, err := transport.OpenWire(data, frameMagic, MaxFrameBytes)
+	if err != nil {
 		return frame{}, errNotGroupFrame
 	}
-	if want := binary.BigEndian.Uint32(data[:4]); want != crc32.ChecksumIEEE(data[4:]) {
-		return frame{}, errNotGroupFrame
-	}
-	var fr frame
-	if err := gob.NewDecoder(bytes.NewReader(data[4:])).Decode(&fr); err != nil {
-		return frame{}, errNotGroupFrame
-	}
+	kind, member, epoch := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	windows, sealed := r.Int(), r.Bytes(MaxSealedBytes)
 	switch {
-	case fr.Magic != frameMagic:
+	case r.Finish() != nil:
 		return frame{}, errNotGroupFrame
-	case fr.Kind < kindJoin || fr.Kind > kindWelcome:
+	case kind < uint64(kindJoin) || kind > uint64(kindWelcome):
 		return frame{}, errNotGroupFrame
-	case len(fr.Sealed) > MaxSealedBytes:
+	case epoch > math.MaxUint32:
 		return frame{}, errNotGroupFrame
-	case fr.Windows < 0 || fr.Windows > MaxFrameWindows:
+	case windows < 0 || windows > MaxFrameWindows:
 		return frame{}, errNotGroupFrame
-	case fr.Kind == kindJoin && fr.Windows < 1:
+	case uint8(kind) == kindJoin && windows < 1:
 		return frame{}, errNotGroupFrame
-	case fr.Kind == kindKey && len(fr.Sealed) == 0:
+	case uint8(kind) == kindKey && len(sealed) == 0:
 		return frame{}, errNotGroupFrame
 	}
-	return fr, nil
+	return frame{Kind: uint8(kind), Member: member, Epoch: uint32(epoch), Windows: windows, Sealed: sealed}, nil
 }

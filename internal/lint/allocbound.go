@@ -8,7 +8,7 @@ import (
 )
 
 // allocboundScope: the packages that decode hostile wire bytes.
-var allocboundScope = []string{"transport", "server", "protocol"}
+var allocboundScope = []string{"transport", "server", "protocol", "group"}
 
 func init() {
 	register(&Analyzer{

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/secure"
+	"repro/internal/transport"
 )
 
 // quantizer stands in for the real pipeline quantizer stage; the keyflow
@@ -53,6 +54,16 @@ func leakRawKeyMAC(win []float64, salt []byte) []byte {
 	var q quantizer
 	bits, _ := q.BobQuantize(win)
 	return secure.MAC(bits, salt) // want "keyflow"
+}
+
+// leakWireField hands key bits to the explicit wire codec's field
+// encoder: the codec writes exactly what it is given, so the transport
+// package is a wire sink like a gob encoder.
+func leakWireField(win []float64) []byte {
+	var q quantizer
+	bits, _ := q.BobQuantize(win)
+	b := transport.NewWire(0x564b4556, len(bits))
+	return transport.SealWire(transport.AppendBytes(b, bits)) // want "keyflow"
 }
 
 // describeFailure leaks an annotated secret into error construction.
@@ -132,6 +143,7 @@ func countOnes(win []float64) int {
 var (
 	_ = leakCascadeTree
 	_ = leakRawKeyMAC
+	_ = leakWireField
 	_ = describeFailure
 	_ = debugDump
 	_ = labelKey

@@ -2,16 +2,19 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"hash/crc32"
+	"strings"
 	"testing"
+
+	"repro/internal/transport"
+	"repro/internal/transport/transporttest"
 )
 
 // FuzzDecode feeds decode arbitrary bytes plus mutations of valid
-// envelopes. It must never panic, and every envelope it does accept must
+// envelopes. It must never panic, every envelope it does accept must
 // respect the wire-format caps — a corrupted or hostile peer cannot
-// drive allocations through oversized Indices/Code/Windows payloads.
+// drive allocations through oversized Indices/Code/Windows payloads —
+// and must re-encode to exactly the bytes decoded: the format has one
+// encoding per envelope.
 func FuzzDecode(f *testing.F) {
 	seed := []Envelope{
 		{Type: MsgKept, Session: "s", Seq: 1, Window: 3, Indices: []int{1, 2, 3}},
@@ -22,10 +25,7 @@ func FuzzDecode(f *testing.F) {
 		{Type: MsgDone, Session: "s", Seq: 5, Round: 7},
 	}
 	for _, e := range seed {
-		data, err := encode(e)
-		if err != nil {
-			f.Fatal(err)
-		}
+		data := encode(e)
 		f.Add(data)
 		// A mutated-valid variant so the corpus starts near the format.
 		mut := append([]byte(nil), data...)
@@ -64,23 +64,14 @@ func FuzzDecode(f *testing.F) {
 		if e.Window < 0 || e.Window > MaxIndices {
 			t.Fatalf("decode accepted window %d", e.Window)
 		}
+		if again := encode(e); !bytes.Equal(again, data) {
+			t.Fatalf("accepted envelope re-encodes differently:\n got %x\nwant %x", again, data)
+		}
 	})
 }
 
-// frame wraps raw gob bytes in the CRC32 header so tests can hand decode
-// envelopes that encode itself would never produce.
-func frame(t *testing.T, e Envelope) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4))
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	binary.BigEndian.PutUint32(data[:4], crc32.ChecksumIEEE(data[4:]))
-	return data
-}
-
+// TestDecodeRejectsOversized: encode writes whatever it is given, so each
+// case is a well-formed frame that only a cap or range check rejects.
 func TestDecodeRejectsOversized(t *testing.T) {
 	huge := make([]int, MaxIndices+1)
 	for _, e := range []Envelope{
@@ -99,20 +90,37 @@ func TestDecodeRejectsOversized(t *testing.T) {
 		{Type: MsgKept, Session: "s", Seq: 1, Window: MaxIndices + 1},
 		{Type: MsgKept, Session: "s", Seq: 1, Window: -1},
 	} {
-		if _, err := decode(frame(t, e)); err == nil {
+		if _, err := decode(encode(e)); err == nil {
 			t.Fatalf("decode accepted out-of-bounds envelope %+v", e.Type)
 		}
 	}
-	if _, err := decode(make([]byte, MaxEnvelopeBytes+1)); err == nil {
+	// Well-formed but one session string too long for the byte cap.
+	long := Envelope{Type: MsgDone, Session: strings.Repeat("s", MaxEnvelopeBytes), Seq: 1}
+	if _, err := decode(encode(long)); err == nil {
 		t.Fatal("decode accepted an envelope beyond the byte cap")
 	}
 }
 
-func TestDecodeRejectsCorruptFrame(t *testing.T) {
-	data, err := encode(Envelope{Type: MsgKept, Session: "s", Seq: 1, Indices: []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
+// resultFields is a valid RESULT envelope as one byte slice per field,
+// in declaration order, so a case can replace exactly one field.
+func resultFields() [][]byte {
+	return [][]byte{
+		transport.AppendInt(nil, int(MsgResult)), // Type
+		transport.AppendString(nil, "s"),         // Session
+		transport.AppendUvarint(nil, 1),          // Seq
+		transport.AppendInt(nil, 0),              // Window
+		transport.AppendInts(nil, nil),           // Indices
+		transport.AppendUvarint(nil, 0),          // Code count
+		transport.AppendBytes(nil, nil),          // MAC
+		transport.AppendInt(nil, 1),              // Round
+		transport.AppendBool(nil, true),          // Accepted
+		transport.AppendInts(nil, nil),           // Windows
+		transport.AppendInts(nil, nil),           // Counts
 	}
+}
+
+func TestDecodeRejectsCorruptFrame(t *testing.T) {
+	data := encode(Envelope{Type: MsgKept, Session: "s", Seq: 1, Indices: []int{1, 2}})
 	if _, err := decode(data); err != nil {
 		t.Fatalf("intact frame rejected: %v", err)
 	}
@@ -126,6 +134,41 @@ func TestDecodeRejectsCorruptFrame(t *testing.T) {
 	if _, err := decode(data[:3]); err == nil {
 		t.Fatal("short frame accepted")
 	}
+	if _, err := decode(transporttest.SealFields(envelopeMagic, resultFields()...)); err != nil {
+		t.Fatalf("hand-built RESULT rejected: %v", err)
+	}
+
+	with := func(i int, field []byte) [][]byte {
+		fs := resultFields()
+		fs[i] = field
+		return fs
+	}
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		// Counts (the last field) announces two ints, the bytes hold one.
+		{"truncated list", transporttest.SealFields(envelopeMagic, with(10, transport.AppendInt([]byte{2}, 300))...)},
+		{"count beyond bytes left", transporttest.SealFields(envelopeMagic, with(5, transport.AppendUvarint(nil, 1000))...)},
+		{"trailing bytes", transporttest.SealFields(envelopeMagic, append(resultFields(), []byte{0})...)},
+		{"bool byte 2", transporttest.SealFields(envelopeMagic, with(8, []byte{2})...)},
+		{"overlong varint", transporttest.SealFields(envelopeMagic, with(2, append(bytes.Repeat([]byte{0xff}, 10), 1))...)},
+		{"non-minimal varint", transporttest.SealFields(envelopeMagic, with(2, []byte{0x81, 0x00})...)},
+		{"truncated message", transport.SealWire(bytes.Clone(data[:len(data)-1]))},
+		// The other two kinds sharing a conn, with their own magics and
+		// field layouts (server.Hello: Vehicle, Windows, Session; group
+		// frame: Kind, Member, Epoch, Windows, Sealed).
+		{"server hello", transporttest.SealFields(0x564b4859,
+			transport.AppendUvarint(nil, 7), transport.AppendInt(nil, 4), transport.AppendString(nil, "s"))},
+		{"group frame", transporttest.SealFields(0x564b4750,
+			transport.AppendUvarint(nil, 3), transport.AppendUvarint(nil, 7), transport.AppendUvarint(nil, 1),
+			transport.AppendInt(nil, 0), transport.AppendBytes(nil, nil))},
+	}
+	for _, c := range cases {
+		if _, err := decode(c.data); err == nil {
+			t.Errorf("%s: decode accepted %x", c.name, c.data)
+		}
+	}
 }
 
 func TestDecodeRoundTrip(t *testing.T) {
@@ -134,11 +177,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		Code: []float64{1, 2.5, -3}, MAC: bytes.Repeat([]byte{9}, 16),
 		Windows: []int{0, 2, 5}, Counts: []int{40, 38, 44},
 	}
-	data, err := encode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decode(data)
+	got, err := decode(encode(e))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,13 +34,9 @@
 package protocol
 
 import (
-	"bytes"
 	"crypto/subtle"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"repro/internal/obs"
@@ -103,48 +99,60 @@ const (
 	MaxRounds = 1 << 14
 )
 
-// The wire format frames the gob payload behind a CRC32 so that link
+// envelopeMagic names protocol envelopes on the wire; server hellos and
+// group frames share conns with them under their own magics.
+const envelopeMagic = 0x564b4556 // "VKEV"
+
+// encode writes e in the transport wire layout: a CRC32 so that link
 // corruption is detected at decode and handled like loss (the sender
 // retransmits) instead of leaking altered content into a round, where it
-// would only surface as a MAC mismatch and burn the whole round.
-func encode(e Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4))
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("protocol: encode: %w", err)
-	}
-	data := buf.Bytes()
-	binary.BigEndian.PutUint32(data[:4], crc32.ChecksumIEEE(data[4:]))
-	return data, nil
+// would only surface as a MAC mismatch and burn the whole round; the
+// envelope magic; then the fields in declaration order.
+func encode(e Envelope) []byte {
+	b := transport.NewWire(envelopeMagic, 64+len(e.Session)+len(e.MAC)+8*len(e.Code)+
+		3*(len(e.Indices)+len(e.Windows)+len(e.Counts)))
+	b = transport.AppendInt(b, int(e.Type))
+	b = transport.AppendString(b, e.Session)
+	b = transport.AppendUvarint(b, e.Seq)
+	b = transport.AppendInt(b, e.Window)
+	b = transport.AppendInts(b, e.Indices)
+	b = transport.AppendUvarint(b, uint64(len(e.Code)))
+	b = transport.AppendFloat64s(b, e.Code)
+	b = transport.AppendBytes(b, e.MAC)
+	b = transport.AppendInt(b, e.Round)
+	b = transport.AppendBool(b, e.Accepted)
+	b = transport.AppendInts(b, e.Windows)
+	b = transport.AppendInts(b, e.Counts)
+	return transport.SealWire(b)
 }
 
+// decode parses one envelope. The list caps are enforced by the reader
+// before each list is allocated; the semantic checks follow once every
+// byte is consumed.
 func decode(data []byte) (Envelope, error) {
-	if len(data) > MaxEnvelopeBytes {
-		return Envelope{}, fmt.Errorf("protocol: decode: envelope %d bytes exceeds cap %d", len(data), MaxEnvelopeBytes)
+	r, err := transport.OpenWire(data, envelopeMagic, MaxEnvelopeBytes)
+	if err != nil {
+		return Envelope{}, fmt.Errorf("protocol: decode: %w", err)
 	}
-	if len(data) < 4 {
-		return Envelope{}, fmt.Errorf("protocol: decode: short frame (%d bytes)", len(data))
+	e := Envelope{
+		Type:     MsgType(r.Int()),
+		Session:  r.String(MaxEnvelopeBytes),
+		Seq:      r.Uvarint(),
+		Window:   r.Int(),
+		Indices:  r.Ints(MaxIndices),
+		Code:     r.Float64s(MaxCode),
+		MAC:      r.Bytes(MaxMACBytes),
+		Round:    r.Int(),
+		Accepted: r.Bool(),
+		Windows:  r.Ints(MaxIndices),
+		Counts:   r.Ints(MaxIndices),
 	}
-	if want := binary.BigEndian.Uint32(data[:4]); want != crc32.ChecksumIEEE(data[4:]) {
-		return Envelope{}, fmt.Errorf("protocol: decode: checksum mismatch")
-	}
-	var e Envelope
-	if err := gob.NewDecoder(bytes.NewReader(data[4:])).Decode(&e); err != nil {
+	if err := r.Finish(); err != nil {
 		return Envelope{}, fmt.Errorf("protocol: decode: %w", err)
 	}
 	switch {
 	case e.Type < MsgKept || e.Type > MsgDone:
 		return Envelope{}, fmt.Errorf("protocol: decode: unknown message type %d", e.Type)
-	case len(e.Indices) > MaxIndices:
-		return Envelope{}, fmt.Errorf("protocol: decode: %d indices exceeds cap %d", len(e.Indices), MaxIndices)
-	case len(e.Code) > MaxCode:
-		return Envelope{}, fmt.Errorf("protocol: decode: code length %d exceeds cap %d", len(e.Code), MaxCode)
-	case len(e.MAC) > MaxMACBytes:
-		return Envelope{}, fmt.Errorf("protocol: decode: MAC length %d exceeds cap %d", len(e.MAC), MaxMACBytes)
-	case len(e.Windows) > MaxIndices:
-		return Envelope{}, fmt.Errorf("protocol: decode: %d windows exceeds cap %d", len(e.Windows), MaxIndices)
-	case len(e.Counts) > MaxIndices:
-		return Envelope{}, fmt.Errorf("protocol: decode: %d counts exceeds cap %d", len(e.Counts), MaxIndices)
 	case e.Round < 0 || e.Round > MaxRounds:
 		return Envelope{}, fmt.Errorf("protocol: decode: round %d outside [0, %d]", e.Round, MaxRounds)
 	case e.Window < 0 || e.Window > MaxIndices:
@@ -307,10 +315,7 @@ func (n *Node) transmit(e Envelope) error {
 	n.seq++
 	e.Session = n.Session
 	e.Seq = n.seq
-	data, err := encode(e)
-	if err != nil {
-		return err
-	}
+	data := encode(e)
 	n.stats.Sent++
 	n.rec.Add(obs.ProtocolSent, 1)
 	return n.Conn.Send(data)
@@ -789,6 +794,14 @@ loop:
 			// expired round key and must not outlive the resolution.
 			secure.Wipe(p.final)
 			outcomes[r] = o
+			// Bob's DONE may have arrived while this round was pending,
+			// and its acknowledgement was withheld then: send it now that
+			// everything is resolved, since the loop exits next.
+			if totalRounds >= 0 && len(pending) == 0 {
+				if err := n.send(Envelope{Type: MsgDone, Round: totalRounds}); err != nil {
+					return aliceOutcomes(outcomes, nextRound, totalRounds), ignoreClosed(err)
+				}
+			}
 
 		case MsgDone:
 			if e.Round > MaxRounds {
@@ -881,14 +894,10 @@ func assembleBlock(winBits map[int][]byte, wins, counts []int, round, block int)
 	return out, true
 }
 
+// floatsToBytes is the syndrome MAC input: the code vector in exactly
+// the big-endian IEEE-754 bytes that carry Code on the wire.
 func floatsToBytes(xs []float64) []byte {
-	out := make([]byte, 0, len(xs)*8)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(xs); err != nil {
-		return nil
-	}
-	out = append(out, buf.Bytes()...)
-	return out
+	return transport.AppendFloat64s(make([]byte, 0, 8*len(xs)), xs)
 }
 
 // ErrNoKeys reports a run that produced no confirmed keys.

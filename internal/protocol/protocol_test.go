@@ -144,7 +144,7 @@ func TestReplayRejected(t *testing.T) {
 	// (same sequence number) is a replay and must be rejected, while a
 	// retransmission (fresh sequence number) must pass.
 	env := Envelope{Type: MsgKept, Session: "s", Seq: 1, Indices: []int{1, 2}}
-	data, _ := encode(env)
+	data := encode(env)
 	b.Send(data)
 	b.Send(data)
 	if _, err := alice.recvEnvelope(time.Second); err != nil {
@@ -154,7 +154,7 @@ func TestReplayRejected(t *testing.T) {
 		t.Fatal("replayed message must be rejected")
 	}
 	env.Seq = 2 // retransmission with a fresh nonce
-	data, _ = encode(env)
+	data = encode(env)
 	b.Send(data)
 	if _, err := alice.recvEnvelope(time.Second); err != nil {
 		t.Fatalf("retransmission with fresh seq should pass: %v", err)
@@ -170,7 +170,7 @@ func TestReorderedSeqAccepted(t *testing.T) {
 	// Deliver seq 3 before seq 2: the sliding replay window admits the
 	// late-but-fresh message instead of discarding it.
 	for _, seq := range []uint64{3, 2} {
-		data, _ := encode(Envelope{Type: MsgKept, Session: "s", Seq: seq})
+		data := encode(Envelope{Type: MsgKept, Session: "s", Seq: seq})
 		b.Send(data)
 	}
 	for i := 0; i < 2; i++ {
@@ -187,9 +187,59 @@ func TestSessionMismatchRejected(t *testing.T) {
 	defer b.Close()
 	alice := NewNode(sys, a, "expected")
 	env := Envelope{Type: MsgKept, Session: "other", Seq: 1}
-	data, _ := encode(env)
+	data := encode(env)
 	b.Send(data)
 	if _, err := alice.recvEnvelope(time.Second); err == nil {
 		t.Fatal("session mismatch must be rejected")
+	}
+}
+
+// holdResults loses every RESULT Bob sends before his DONE, so Alice
+// still holds each of those rounds when the DONE arrives.
+type holdResults struct {
+	transport.Conn
+	doneSent bool
+}
+
+func (c *holdResults) Send(data []byte) error {
+	if e, err := decode(data); err == nil {
+		switch {
+		case e.Type == MsgDone:
+			c.doneSent = true
+		case e.Type == MsgResult && !c.doneSent:
+			return nil
+		}
+	}
+	return c.Conn.Send(data)
+}
+
+// TestAliceAcksDoneAfterLateResult: Alice withholds her DONE
+// acknowledgement while rounds are pending and must send it once the
+// re-requested RESULTs resolve them; otherwise Bob's finish loop keeps
+// retransmitting DONE to a peer that has already returned. Bob's only
+// retransmits must be the RESULT re-replies, one per round.
+func TestAliceAcksDoneAfterLateResult(t *testing.T) {
+	h := baselineHarness(t, "lora-key", 400, 8, 160)
+	a, b := transport.Pair()
+	defer a.Close()
+	defer b.Close()
+	alice := NewNode(h.sys, a, "s", WithRetryPolicy(RetryPolicy{Timeout: 20 * time.Millisecond, MaxRetries: 8}))
+	bob := NewNode(h.sys, &holdResults{Conn: b}, "s", WithRetryPolicy(RetryPolicy{Timeout: 2 * time.Second, MaxRetries: 2}))
+	var aliceOut, bobOut []KeyOutcome
+	var aliceErr, bobErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); bobOut, bobErr = bob.RunBob(h.bobWin) }()
+	go func() { defer wg.Done(); aliceOut, aliceErr = alice.RunAlice(h.aliceWin) }()
+	wg.Wait()
+	if aliceErr != nil || bobErr != nil {
+		t.Fatalf("alice: %v, bob: %v", aliceErr, bobErr)
+	}
+	if len(bobOut) == 0 {
+		t.Fatal("no rounds to hold")
+	}
+	verifyOutcomes(t, aliceOut, bobOut)
+	if got := bob.Stats().Retransmits; got != len(bobOut) {
+		t.Fatalf("bob retransmitted %d times for %d rounds: DONE went unacknowledged", got, len(bobOut))
 	}
 }

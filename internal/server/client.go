@@ -85,10 +85,7 @@ func sendHello(conn transport.Conn, v *Vehicle) error {
 	if v.HelloCopies < 1 {
 		v.HelloCopies = 1
 	}
-	hello, err := encodeHello(Hello{Vehicle: v.ID, Windows: v.Windows, Session: v.Session})
-	if err != nil {
-		return err
-	}
+	hello := encodeHello(Hello{Vehicle: v.ID, Windows: v.Windows, Session: v.Session})
 	for i := 0; i < v.HelloCopies; i++ {
 		if err := conn.Send(hello); err != nil {
 			return fmt.Errorf("server: hello: %w", err)

@@ -1,16 +1,13 @@
 package server
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Hello is the pre-protocol handshake a vehicle sends as its first
@@ -29,7 +26,6 @@ import (
 //
 //vklint:wire -- decoded from unauthenticated vehicles; treat field reads as hostile
 type Hello struct {
-	Magic   uint32
 	Vehicle uint64
 	Windows int
 	Session string
@@ -54,39 +50,31 @@ const (
 // envelope that raced ahead of one); the handshake loop skips it.
 var errNotHello = errors.New("server: not a hello")
 
-// encodeHello frames h like the protocol envelopes: a CRC32 header over
-// the gob payload, so link corruption surfaces at decode.
-func encodeHello(h Hello) ([]byte, error) {
-	h.Magic = helloMagic
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4))
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return nil, fmt.Errorf("server: encode hello: %w", err)
-	}
-	data := buf.Bytes()
-	binary.BigEndian.PutUint32(data[:4], crc32.ChecksumIEEE(data[4:]))
-	return data, nil
+// encodeHello writes h in the transport wire layout under helloMagic,
+// the same CRC32-framed layout as the protocol envelopes, so link
+// corruption surfaces at decode.
+func encodeHello(h Hello) []byte {
+	b := transport.NewWire(helloMagic, 16+len(h.Session))
+	b = transport.AppendUvarint(b, h.Vehicle)
+	b = transport.AppendInt(b, h.Windows)
+	b = transport.AppendString(b, h.Session)
+	return transport.SealWire(b)
 }
 
 // decodeHello parses and validates one hello frame. Anything that is
 // not a well-formed hello within the caps reports errNotHello.
 func decodeHello(data []byte) (Hello, error) {
-	if len(data) < 4 || len(data) > MaxHelloBytes {
+	r, err := transport.OpenWire(data, helloMagic, MaxHelloBytes)
+	if err != nil {
 		return Hello{}, errNotHello
 	}
-	if want := binary.BigEndian.Uint32(data[:4]); want != crc32.ChecksumIEEE(data[4:]) {
-		return Hello{}, errNotHello
-	}
-	var h Hello
-	if err := gob.NewDecoder(bytes.NewReader(data[4:])).Decode(&h); err != nil {
-		return Hello{}, errNotHello
-	}
+	h := Hello{Vehicle: r.Uvarint(), Windows: r.Int(), Session: r.String(MaxSessionLen)}
 	switch {
-	case h.Magic != helloMagic:
+	case r.Finish() != nil:
 		return Hello{}, errNotHello
 	case h.Windows < 1 || h.Windows > MaxHelloWindows:
 		return Hello{}, errNotHello
-	case len(h.Session) == 0 || len(h.Session) > MaxSessionLen:
+	case len(h.Session) == 0:
 		return Hello{}, errNotHello
 	}
 	return h, nil
