@@ -108,7 +108,7 @@ func BenchmarkPredictorForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(seq)
+		p.ForwardBatched(seq)
 	}
 }
 
@@ -124,6 +124,28 @@ func BenchmarkPredictorTrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.TrainStep(seq, seq, bits, nil)
+	}
+}
+
+// BenchmarkTrainAE times one reconciler fit at the default system's
+// AE settings (64-bit blocks, 10 epochs × 300 key pairs), the fit that
+// System.Train runs beside the predictor's.
+func BenchmarkTrainAE(b *testing.B) {
+	cfg := core.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		reconcile.TrainAE(cfg.AE, cfg.AEEpochs, cfg.AESamples, rng.New(3))
+	}
+}
+
+// BenchmarkSetupWith times a whole default setup with cmd/vkperf's
+// options: dataset, scheme construction and both fits.
+func BenchmarkSetupWith(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SetupWith(Options{Seed: 21, TrainingWindows: 160, TrainingEpochs: 12}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

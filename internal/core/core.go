@@ -214,8 +214,7 @@ func windowFingerprint(seq []float64) uint64 {
 
 // nnPredictor is the Vehicle-Key predictor stage: the BiLSTM prediction
 // + quantization network, run by Alice (or the power-rich side).
-// Predict serves the batched inference forward; training runs the
-// per-step forward it is byte-identical to.
+// Predict and Fit run the same batched forward kernels.
 type nnPredictor struct {
 	cfg nn.PredictorConfig
 	net *nn.Predictor
@@ -532,15 +531,31 @@ func (s *System) Train(ds *trace.Dataset, epochs int, src *rng.Source) ([]float6
 	if len(samples) == 0 {
 		return nil, errors.New("core: empty training set")
 	}
+	// Both streams are derived in the order the two fits once ran one
+	// after the other, so each draws exactly what it did. The reconciler
+	// fit is a pure function of its config and stream (it never reads
+	// the dataset), so it runs on its own goroutine beside the
+	// predictor fit.
+	var fitSrc *rng.Source
+	if trainPred {
+		fitSrc = src.Derive("fit")
+	}
+	aeDone := make(chan struct{})
+	if trainRec {
+		go func(aeSrc *rng.Source) {
+			defer close(aeDone)
+			tr.Fit(aeSrc)
+		}(src.Derive("ae-fit"))
+	} else {
+		close(aeDone)
+	}
 	var losses []float64
 	if trainPred {
-		losses = tp.Fit(samples, epochs, s.Cfg.LearnRate, s.Cfg.WeightDecay, src.Derive("fit"))
+		losses = tp.Fit(samples, epochs, s.Cfg.LearnRate, s.Cfg.WeightDecay, fitSrc)
 		// Cached forwards describe the pre-training weights.
 		s.pmemo.Purge()
 	}
-	if trainRec {
-		tr.Fit(src.Derive("ae-fit"))
-	}
+	<-aeDone
 	return losses, nil
 }
 

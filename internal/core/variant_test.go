@@ -33,7 +33,7 @@ func TestBitSourceVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		yHat, _ := sys.predictorNet().Forward(smp.Alice)
+		yHat, _ := sys.predictorNet().ForwardBatched(smp.Alice)
 		headBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
 		bobFinal := SelectAt(bobBits, bobKept, finalKept, b)
 		headAgree += agreement(headBits, bobFinal)
@@ -81,7 +81,7 @@ func TestPredictionQuality(t *testing.T) {
 		}
 		var predCorr, rawCorr, n float64
 		for _, smp := range test.Samples {
-			yHat, _ := sys.predictorNet().Forward(smp.Alice)
+			yHat, _ := sys.predictorNet().ForwardBatched(smp.Alice)
 			pc, _ := corrOf(yHat, smp.Bob)
 			rc, _ := corrOf(smp.Alice, smp.Bob)
 			predCorr += pc

@@ -1,15 +1,16 @@
-// Order-preserving dense kernels for the fast inference path (PR 8).
+// Order-preserving dense kernels for the batched inference and training
+// paths.
 //
 // Everything in this file is stdlib-only float64 arithmetic with one
 // non-negotiable contract: for every output element the sequence of
 // floating-point operations — the seed value, the order of the
 // multiply-adds — is EXACTLY the sequence the per-step reference loops
-// in internal/nn and internal/reconcile perform. Go's float64 is strict
-// IEEE 754 (no reassociation, no extended-precision accumulation on
-// amd64/arm64), so preserving the op order makes the batched results
-// byte-identical to the reference, not merely close. The equivalence
-// battery in gemm_test.go and internal/nn/infer_test.go asserts this
-// with math.Float64bits.
+// (kept as test oracles in internal/nn and internal/reconcile) perform.
+// Go's float64 is strict IEEE 754 (no reassociation, no
+// extended-precision accumulation on amd64/arm64), so preserving the op
+// order makes the batched results byte-identical to the reference, not
+// merely close. The equivalence battery in gemm_test.go and
+// internal/nn/infer_test.go asserts this with math.Float64bits.
 //
 // Blocking therefore tiles only the OUTPUT dimensions (rows of A,
 // rows of B): elements are computed whole, never split into partial
@@ -42,8 +43,26 @@ func MatMulTBias(a []float64, m, k int, b []float64, n int, bias, out []float64)
 			for i := i0; i < iMax; i++ {
 				ar := a[i*k : i*k+k]
 				or := out[i*n : i*n+n]
-				for j := j0; j < jMax; j++ {
-					br := b[j*k : j*k+k]
+				// Four output elements at a time, one accumulator each
+				// (as in AddMatVec): each still takes its terms in
+				// ascending c.
+				j := j0
+				for ; j+4 <= jMax; j += 4 {
+					b0 := b[j*k:][:len(ar)]
+					b1 := b[(j+1)*k:][:len(ar)]
+					b2 := b[(j+2)*k:][:len(ar)]
+					b3 := b[(j+3)*k:][:len(ar)]
+					s0, s1, s2, s3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
+					for c, av := range ar {
+						s0 += b0[c] * av
+						s1 += b1[c] * av
+						s2 += b2[c] * av
+						s3 += b3[c] * av
+					}
+					or[j], or[j+1], or[j+2], or[j+3] = s0, s1, s2, s3
+				}
+				for ; j < jMax; j++ {
+					br := b[j*k:][:len(ar)]
 					sum := bias[j]
 					for c, av := range ar {
 						sum += br[c] * av
@@ -97,13 +116,33 @@ func MatVec(w []float64, rows, cols int, x, out []float64) {
 // an LSTM gate, whose reference loop appends the U·h terms after the
 // bias-seeded W·x terms in the same accumulator. out must not alias w
 // or x.
+//
+// Rows run four at a time with one accumulator each: the four sums are
+// independent, so their adds overlap in the pipeline instead of waiting
+// on one another, while each sum still takes its terms in ascending c.
 func AddMatVec(w []float64, rows, cols int, x, out []float64) {
 	checkMatVec(w, rows, cols, x, cols, out, rows)
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : r*cols+cols]
+	x = x[:cols]
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		w0 := w[r*cols:][:len(x)]
+		w1 := w[(r+1)*cols:][:len(x)]
+		w2 := w[(r+2)*cols:][:len(x)]
+		w3 := w[(r+3)*cols:][:len(x)]
+		s0, s1, s2, s3 := out[r], out[r+1], out[r+2], out[r+3]
+		for c, xv := range x {
+			s0 += w0[c] * xv
+			s1 += w1[c] * xv
+			s2 += w2[c] * xv
+			s3 += w3[c] * xv
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < rows; r++ {
+		row := w[r*cols:][:len(x)]
 		sum := out[r]
-		for c, wv := range row {
-			sum += wv * x[c]
+		for c, xv := range x {
+			sum += row[c] * xv
 		}
 		out[r] = sum
 	}
@@ -114,13 +153,30 @@ func AddMatVec(w []float64, rows, cols int, x, out []float64) {
 // instead of striding down columns. Per output element the terms are
 // still added in ascending r — identical to the column-dot reference.
 // out is zeroed first and must not alias w or x.
+//
+// Four rows share one pass over out, adding their terms to each
+// element in ascending r.
 func MatVecT(w []float64, rows, cols int, x, out []float64) {
 	checkMatVec(w, rows, cols, x, rows, out, cols)
-	for c := range out[:cols] {
-		out[c] = 0
+	out = out[:cols]
+	clear(out)
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		x0, x1, x2, x3 := x[r], x[r+1], x[r+2], x[r+3]
+		w0 := w[r*cols:][:len(out)]
+		w1 := w[(r+1)*cols:][:len(out)]
+		w2 := w[(r+2)*cols:][:len(out)]
+		w3 := w[(r+3)*cols:][:len(out)]
+		for c, v := range out {
+			v += w0[c] * x0
+			v += w1[c] * x1
+			v += w2[c] * x2
+			v += w3[c] * x3
+			out[c] = v
+		}
 	}
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : r*cols+cols]
+	for ; r < rows; r++ {
+		row := w[r*cols:][:len(out)]
 		xr := x[r]
 		for c, wv := range row {
 			out[c] += wv * xr

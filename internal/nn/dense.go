@@ -1,25 +1,21 @@
 package nn
 
 import (
-	"fmt"
-
+	"repro/internal/mathx"
 	"repro/internal/rng"
 )
 
-// Dense is a fully connected layer y = act(W·x + b). It caches the last
-// forward pass so Backward can be called immediately afterwards; one layer
-// instance therefore serves one sample at a time (the training loops here
-// are sequential, matching the small per-step batch the paper trains
-// with).
+// Dense is a fully connected layer y = act(W·x + b), applied to a batch
+// of rows at once: one bias-seeded GEMM per call, byte-identical per row
+// to the scalar loop `sum := b[o]; for i { sum += W[o][i]·x[i] }`. It
+// keeps no per-call state; its callers (MLP and the predictor heads)
+// hold the activations Backward needs.
 type Dense struct {
 	In, Out int
 	Act     Activation
 
 	w *Param // Out×In, row-major
 	b *Param // Out
-
-	lastX []float64
-	lastY []float64
 }
 
 // NewDense creates a dense layer with Xavier-initialized weights.
@@ -38,49 +34,60 @@ func NewDense(name string, in, out int, act Activation, src *rng.Source) *Dense 
 // Params returns the layer's learnable tensors.
 func (d *Dense) Params() Params { return Params{d.w, d.b} }
 
-// ShareWeights returns a new layer backed by the same parameter tensors
-// but with its own forward cache, so two tied branches (e.g. the
-// reconciler's twin encoders) can each hold a pending backward pass.
-// Gradients from both branches accumulate into the shared tensors.
-func (d *Dense) ShareWeights() *Dense {
-	return &Dense{In: d.In, Out: d.Out, Act: d.Act, w: d.w, b: d.b}
-}
-
-// Forward computes the layer output for input x (length In).
-func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.In {
-		panic(fmt.Sprintf("nn: Dense %d-in got %d values", d.In, len(x)))
-	}
-	y := make([]float64, d.Out)
-	for o := 0; o < d.Out; o++ {
-		sum := d.b.W[o]
-		row := d.w.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		y[o] = d.Act.Apply(sum)
-	}
-	d.lastX = append(d.lastX[:0], x...)
-	d.lastY = append(d.lastY[:0], y...)
-	return y
-}
-
-// Backward consumes dL/dy for the last Forward call, accumulates weight
-// gradients, and returns dL/dx.
-func (d *Dense) Backward(dy []float64) []float64 {
-	if len(dy) != d.Out {
-		panic(fmt.Sprintf("nn: Dense %d-out got %d grads", d.Out, len(dy)))
-	}
-	dx := make([]float64, d.In)
-	for o := 0; o < d.Out; o++ {
-		dz := dy[o] * d.Act.DerivFromOutput(d.lastY[o])
-		d.b.G[o] += dz
-		row := d.w.W[o*d.In : (o+1)*d.In]
-		grow := d.w.G[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			grow[i] += dz * d.lastX[i]
-			dx[i] += dz * row[i]
+// forward writes act(W·x + b) for rows inputs (x flat rows×In) into y
+// (flat rows×Out). y must not alias x.
+func (d *Dense) forward(x []float64, rows int, y []float64) {
+	y = y[:rows*d.Out]
+	mathx.MatMulTBias(x, rows, d.In, d.w.W, d.Out, d.b.W, y)
+	if d.Act != Identity {
+		for i, v := range y {
+			y[i] = d.Act.Apply(v)
 		}
 	}
-	return dx
+}
+
+// backward takes the rows inputs x and outputs y of a forward call and
+// dL/dy, and accumulates the weight gradients, each element's per-row
+// terms in ascending row order — the order of calling a per-sample
+// backward row by row. dy is overwritten with dL/d(pre-activation).
+// When dx is non-nil it receives dL/dx (flat rows×In).
+func (d *Dense) backward(x, y, dy []float64, rows int, dx []float64) {
+	in, out := d.In, d.Out
+	for k, v := range y[:rows*out] {
+		dy[k] *= d.Act.DerivFromOutput(v)
+	}
+	for o := 0; o < out; o++ {
+		for n := 0; n < rows; n++ {
+			d.b.G[o] += dy[n*out+o]
+		}
+		// Four rows share one pass over the gradient row.
+		gw := d.w.G[o*in : o*in+in]
+		n := 0
+		for ; n+4 <= rows; n += 4 {
+			z0, z1, z2, z3 := dy[n*out+o], dy[(n+1)*out+o], dy[(n+2)*out+o], dy[(n+3)*out+o]
+			x0 := x[n*in:][:len(gw)]
+			x1 := x[(n+1)*in:][:len(gw)]
+			x2 := x[(n+2)*in:][:len(gw)]
+			x3 := x[(n+3)*in:][:len(gw)]
+			for i, g := range gw {
+				g += z0 * x0[i]
+				g += z1 * x1[i]
+				g += z2 * x2[i]
+				g += z3 * x3[i]
+				gw[i] = g
+			}
+		}
+		for ; n < rows; n++ {
+			dz := dy[n*out+o]
+			for i, xv := range x[n*in:][:len(gw)] {
+				gw[i] += dz * xv
+			}
+		}
+	}
+	if dx == nil {
+		return
+	}
+	for n := 0; n < rows; n++ {
+		mathx.MatVecT(d.w.W, out, in, dy[n*out:n*out+out], dx[n*in:n*in+in])
+	}
 }

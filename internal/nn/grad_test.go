@@ -46,10 +46,11 @@ func TestDenseGradient(t *testing.T) {
 	d := NewDense("d", 5, 3, Tanh, src)
 	x := []float64{0.3, -0.2, 0.9, -1.1, 0.5}
 	y := []float64{0.1, -0.4, 0.7}
+	out := make([]float64, len(y))
 	lossFn := func() float64 {
-		out := d.Forward(x)
-		loss, grad := MSE(y, out)
-		d.Backward(grad)
+		d.forward(x, 1, out)
+		loss, grad := refMSE(y, out)
+		d.backward(x, out, grad, 1, nil)
 		return loss
 	}
 	checkGrads(t, d.Params(), lossFn, 1e-4)
@@ -60,10 +61,11 @@ func TestDenseSigmoidBCEGradient(t *testing.T) {
 	d := NewDense("d", 4, 6, Sigmoid, src)
 	x := []float64{0.5, -0.3, 1.2, 0.1}
 	z := []byte{1, 0, 1, 1, 0, 0}
+	out := make([]float64, len(z))
 	lossFn := func() float64 {
-		out := d.Forward(x)
-		loss, grad := BCE(z, out)
-		d.Backward(grad)
+		d.forward(x, 1, out)
+		loss, grad := refBCE(z, out)
+		d.backward(x, out, grad, 1, nil)
 		return loss
 	}
 	checkGrads(t, d.Params(), lossFn, 1e-4)
@@ -72,19 +74,19 @@ func TestDenseSigmoidBCEGradient(t *testing.T) {
 func TestLSTMGradient(t *testing.T) {
 	src := rng.New(3)
 	l := NewLSTM("l", 2, 4, src)
-	xs := [][]float64{{0.5, -0.1}, {0.2, 0.8}, {-0.7, 0.3}, {0.1, 0.1}}
+	xs := []float64{0.5, -0.1, 0.2, 0.8, -0.7, 0.3, 0.1, 0.1}
 	targets := []float64{0.3, -0.2, 0.5, 0.1}
+	const T, hd = 4, 4
+	hs := make([]float64, T*hd)
 	lossFn := func() float64 {
-		hs := l.Forward(xs)
+		l.Forward(xs, T, hs)
 		// Loss over the first hidden unit of every step.
 		var loss float64
-		dhs := make([][]float64, len(hs))
-		for tt, h := range hs {
-			d := h[0] - targets[tt]
+		dhs := make([]float64, T*hd)
+		for tt := 0; tt < T; tt++ {
+			d := hs[tt*hd] - targets[tt]
 			loss += d * d
-			dh := make([]float64, len(h))
-			dh[0] = 2 * d
-			dhs[tt] = dh
+			dhs[tt*hd] = 2 * d
 		}
 		l.Backward(dhs)
 		return loss
@@ -95,18 +97,14 @@ func TestLSTMGradient(t *testing.T) {
 func TestBiLSTMGradient(t *testing.T) {
 	src := rng.New(4)
 	b := NewBiLSTM("b", 1, 3, src)
-	xs := [][]float64{{0.5}, {-0.2}, {0.9}, {0.05}}
+	xs := []float64{0.5, -0.2, 0.9, 0.05}
 	lossFn := func() float64 {
-		hs := b.Forward(xs)
+		hs := b.Forward(xs, len(xs))
 		var loss float64
-		dhs := make([][]float64, len(hs))
-		for tt, h := range hs {
-			dh := make([]float64, len(h))
-			for i, v := range h {
-				loss += v * v
-				dh[i] = 2 * v
-			}
-			dhs[tt] = dh
+		dhs := make([]float64, len(hs))
+		for i, v := range hs {
+			loss += v * v
+			dhs[i] = 2 * v
 		}
 		b.Backward(dhs)
 		return loss
@@ -161,7 +159,7 @@ func TestPredictorLearnsIdentityMapping(t *testing.T) {
 				bits[j] = 1
 			}
 		}
-		_, zHat := p.Forward(alice)
+		_, zHat := p.ForwardBatched(alice)
 		got := Bits(zHat)
 		for j := range bits {
 			if got[j] == bits[j] {

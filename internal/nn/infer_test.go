@@ -22,9 +22,9 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestLSTMForwardInferByteIdentical pins the batched LSTM inference to
-// the per-step training Forward at the bit level, including InDim > 1
-// and repeated calls on one instance (scratch reuse).
+// TestLSTMForwardInferByteIdentical pins the batched LSTM forward to the
+// per-step reference (trainref_test.go) at the bit level, including
+// InDim > 1 and repeated calls on one instance (scratch reuse).
 func TestLSTMForwardInferByteIdentical(t *testing.T) {
 	for _, dims := range [][3]int{{1, 8, 5}, {3, 16, 9}, {2, 70, 4}} {
 		in, hd, T := dims[0], dims[1], dims[2]
@@ -39,9 +39,9 @@ func TestLSTMForwardInferByteIdentical(t *testing.T) {
 			for ti := 0; ti < T; ti++ {
 				xs[ti] = flat[ti*in : (ti+1)*in]
 			}
-			ref := l.Forward(xs)
+			ref := (&refLSTM{l: l}).forward(xs)
 			got := make([]float64, T*hd)
-			l.ForwardInfer(flat, T, got)
+			l.Forward(flat, T, got)
 			for ti := 0; ti < T; ti++ {
 				sameBits(t, "LSTM h", got[ti*hd:(ti+1)*hd], ref[ti])
 			}
@@ -61,8 +61,8 @@ func TestBiLSTMForwardInferByteIdentical(t *testing.T) {
 	for ti := 0; ti < T; ti++ {
 		xs[ti] = flat[ti*in : (ti+1)*in]
 	}
-	ref := b.Forward(xs)
-	got := b.ForwardInfer(flat, T)
+	ref := newRefBiLSTM(b).forward(xs)
+	got := b.Forward(flat, T)
 	for ti := 0; ti < T; ti++ {
 		sameBits(t, "BiLSTM h", got[ti*2*hd:(ti+1)*2*hd], ref[ti])
 	}
@@ -76,17 +76,18 @@ func TestMLPForwardInferByteIdentical(t *testing.T) {
 	for i := range xs {
 		xs[i] = src.Normal(0, 2)
 	}
-	out := make([]float64, rows)
-	m.ForwardInfer(xs, rows, out)
+	out := m.Forward(xs, rows)
+	rm := newRefMLP(m)
 	for r := 0; r < rows; r++ {
-		ref := m.Forward(xs[r*2 : r*2+2])
+		ref := rm.forward(xs[r*2 : r*2+2])
 		sameBits(t, "MLP out", out[r:r+1], ref)
 	}
 }
 
-// TestForwardBatchedByteIdentical is the linchpin of the fast path: the
-// predictor's batched inference must reproduce Forward bit-for-bit on
-// random sequences, so every downstream key bit is unchanged.
+// TestForwardBatchedByteIdentical is the linchpin of the batched path:
+// the predictor's forward must reproduce the per-step reference
+// bit-for-bit on random sequences, so every downstream key bit is
+// unchanged.
 func TestForwardBatchedByteIdentical(t *testing.T) {
 	cfgs := []PredictorConfig{
 		{SeqLen: 8, Hidden: 12, Bits: 16, Theta: 0.9},
@@ -96,12 +97,13 @@ func TestForwardBatchedByteIdentical(t *testing.T) {
 	for _, cfg := range cfgs {
 		src := rng.New(int64(cfg.Hidden))
 		p := NewPredictor(cfg, src)
+		rp := newRefPredictor(p)
 		for rep := 0; rep < 4; rep++ {
 			seq := make([]float64, cfg.SeqLen)
 			for i := range seq {
 				seq[i] = src.Normal(0, 1)
 			}
-			yRef, zRef := p.Forward(seq)
+			yRef, zRef := rp.forward(seq)
 			yGot, zGot := p.ForwardBatched(seq)
 			sameBits(t, "yHat", yGot, yRef)
 			sameBits(t, "zHat", zGot, zRef)
@@ -115,6 +117,7 @@ func TestForwardBatchedByteIdentical(t *testing.T) {
 func TestForwardBatchedScenarioWindows(t *testing.T) {
 	src := rng.New(1)
 	p := NewPredictor(PredictorConfig{SeqLen: 32, Hidden: 24, Bits: 64, Theta: 0.9}, src)
+	rp := newRefPredictor(p)
 	for _, env := range []channel.Environment{channel.Urban, channel.Rural} {
 		for _, link := range []channel.LinkType{channel.V2V, channel.V2I} {
 			sc := trace.NewScenario(env, link)
@@ -123,7 +126,7 @@ func TestForwardBatchedScenarioWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range ds.Samples {
-				yRef, zRef := p.Forward(s.Alice)
+				yRef, zRef := rp.forward(s.Alice)
 				yGot, zGot := p.ForwardBatched(s.Alice)
 				sameBits(t, sc.Name+" yHat", yGot, yRef)
 				sameBits(t, sc.Name+" zHat", zGot, zRef)

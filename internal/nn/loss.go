@@ -2,29 +2,36 @@ package nn
 
 import "math"
 
-// MSE returns the mean squared error between target y and prediction yHat,
-// plus the gradient dL/dyHat.
-func MSE(y, yHat []float64) (float64, []float64) {
-	n := float64(len(y))
-	grad := make([]float64, len(y))
-	var loss float64
-	for i := range y {
-		d := yHat[i] - y[i]
-		loss += d * d
-		grad[i] = 2 * d / n
-	}
-	return loss / n, grad
+// JointLoss is the paper's Eq. 3: θ·MSE(y, ŷ) + (1−θ)·BCE(z, ẑ), where
+// BCE is summed over the bits rather than averaged (Eq. 5) and clamps
+// predictions away from {0, 1} for numerical stability. It returns the
+// combined loss and the two gradient slices already scaled by their
+// weights. mask, when non-nil, limits the BCE term to the marked bit
+// positions — the positions Bob's guard-banded quantizer kept.
+func JointLoss(theta float64, y, yHat []float64, z []byte, zHat []float64, mask []bool) (loss float64, dyHat, dzHat []float64) {
+	dyHat = make([]float64, len(y))
+	dzHat = make([]float64, len(zHat))
+	return jointLoss(theta, y, yHat, z, zHat, mask, dyHat, dzHat), dyHat, dzHat
 }
 
-// BCE returns the summed binary cross entropy between the 0/1 target bits
-// z and the sigmoid outputs zHat (as in the paper's Eq. 5, which sums
-// rather than averages), plus the gradient dL/dzHat. Predictions are
-// clamped away from {0, 1} for numerical stability.
-func BCE(z []byte, zHat []float64) (float64, []float64) {
+// jointLoss is JointLoss writing its gradients into dy and dz. Its
+// arithmetic is the reference's term for term (trainref_test.go).
+func jointLoss(theta float64, y, yHat []float64, z []byte, zHat []float64, mask []bool, dy, dz []float64) float64 {
+	n := float64(len(y))
+	var mse float64
+	for i := range y {
+		d := yHat[i] - y[i]
+		mse += d * d
+		dy[i] = 2 * d / n
+	}
+	mse /= n
 	const eps = 1e-9
-	grad := make([]float64, len(zHat))
-	var loss float64
+	var bce float64
 	for i := range zHat {
+		if mask != nil && !mask[i] {
+			dz[i] = 0
+			continue
+		}
 		p := zHat[i]
 		if p < eps {
 			p = eps
@@ -33,51 +40,18 @@ func BCE(z []byte, zHat []float64) (float64, []float64) {
 			p = 1 - eps
 		}
 		if z[i] == 1 {
-			loss += -math.Log(p)
-			grad[i] = -1 / p
+			bce += -math.Log(p)
+			dz[i] = -1 / p
 		} else {
-			loss += -math.Log(1 - p)
-			grad[i] = 1 / (1 - p)
+			bce += -math.Log(1 - p)
+			dz[i] = 1 / (1 - p)
 		}
 	}
-	return loss, grad
-}
-
-// JointLoss is the paper's Eq. 3: θ·MSE(y, ŷ) + (1−θ)·BCE(z, ẑ). It
-// returns the combined loss and the two gradient slices already scaled by
-// their weights. mask, when non-nil, limits the BCE term to the marked
-// bit positions — the positions Bob's guard-banded quantizer kept.
-func JointLoss(theta float64, y, yHat []float64, z []byte, zHat []float64, mask []bool) (loss float64, dyHat, dzHat []float64) {
-	mse, dy := MSE(y, yHat)
-	bce, dz := BCE(z, zHat)
-	if mask != nil {
-		bce = 0
-		const eps = 1e-9
-		for i := range zHat {
-			if !mask[i] {
-				dz[i] = 0
-				continue
-			}
-			p := zHat[i]
-			if p < eps {
-				p = eps
-			}
-			if p > 1-eps {
-				p = 1 - eps
-			}
-			if z[i] == 1 {
-				bce += -math.Log(p)
-			} else {
-				bce += -math.Log(1 - p)
-			}
-		}
-	}
-	loss = theta*mse + (1-theta)*bce
 	for i := range dy {
 		dy[i] *= theta
 	}
 	for i := range dz {
 		dz[i] *= 1 - theta
 	}
-	return loss, dy, dz
+	return theta*mse + (1-theta)*bce
 }

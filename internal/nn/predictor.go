@@ -44,16 +44,24 @@ func (c *PredictorConfig) normalize() {
 // per timestep with shared weights (Keras TimeDistributed(Dense), the
 // standard head on a BiLSTM): the task is translation-equivariant along
 // the sequence, and weight sharing is what lets the model generalize from
-// the modest number of probe sequences a drive collects.
+// the modest number of probe sequences a drive collects. Each head runs
+// as one GEMM over all timesteps.
 type Predictor struct {
 	Cfg PredictorConfig
 
-	bilstm *BiLSTM
-	// Shared per-timestep heads. Each timestep t gets its own cache view
-	// so Forward can run all steps before Backward (see Dense.ShareWeights).
-	fcPred  []*Dense // 2H → 1, Identity
-	fcQuant []*Dense // 2H → BitsPerStep, Sigmoid
-	perStep int      // bits per step = Bits/SeqLen
+	bilstm  *BiLSTM
+	fcPred  *Dense // 2H → 1, Identity
+	fcQuant *Dense // 2H → BitsPerStep, Sigmoid
+	perStep int    // bits per step = Bits/SeqLen
+
+	sc trainScratch
+}
+
+// trainScratch holds TrainStep's reusable buffers.
+type trainScratch struct {
+	yHat, zHat []float64 // head outputs
+	dy, dz     []float64 // loss gradients w.r.t. the head outputs
+	dh, dhq    []float64 // head input gradients (T×2H) per head
 }
 
 // NewPredictor builds the model with weights drawn from src. Bits must be
@@ -68,44 +76,41 @@ func NewPredictor(cfg PredictorConfig, src *rng.Source) *Predictor {
 		bilstm:  NewBiLSTM("predictor.bilstm", 1, cfg.Hidden, src),
 		perStep: cfg.Bits / cfg.SeqLen,
 	}
-	pred := NewDense("predictor.fcPred", 2*cfg.Hidden, 1, Identity, src)
-	quant := NewDense("predictor.fcQuant", 2*cfg.Hidden, p.perStep, Sigmoid, src)
-	p.fcPred = make([]*Dense, cfg.SeqLen)
-	p.fcQuant = make([]*Dense, cfg.SeqLen)
-	p.fcPred[0], p.fcQuant[0] = pred, quant
-	for t := 1; t < cfg.SeqLen; t++ {
-		p.fcPred[t] = pred.ShareWeights()
-		p.fcQuant[t] = quant.ShareWeights()
-	}
+	p.fcPred = NewDense("predictor.fcPred", 2*cfg.Hidden, 1, Identity, src)
+	p.fcQuant = NewDense("predictor.fcQuant", 2*cfg.Hidden, p.perStep, Sigmoid, src)
 	return p
 }
 
-// Params returns every learnable tensor in the model (shared heads listed
-// once).
+// Params returns every learnable tensor in the model.
 func (p *Predictor) Params() Params {
 	ps := p.bilstm.Params()
-	ps = append(ps, p.fcPred[0].Params()...)
-	ps = append(ps, p.fcQuant[0].Params()...)
+	ps = append(ps, p.fcPred.Params()...)
+	ps = append(ps, p.fcQuant.Params()...)
 	return ps
 }
 
-// Forward maps Alice's normalized arRSSI sequence to (predicted Bob
-// sequence, soft bit probabilities).
-func (p *Predictor) Forward(aliceSeq []float64) (yHat, zHat []float64) {
-	if len(aliceSeq) != p.Cfg.SeqLen {
-		panic(fmt.Sprintf("nn: Predictor wants %d-step sequences, got %d", p.Cfg.SeqLen, len(aliceSeq)))
+// forward runs the BiLSTM over aliceSeq and both heads over all of its
+// timesteps, writing yHat (T) and zHat (T·BitsPerStep). It returns the
+// BiLSTM features, scratch valid until the next forward.
+func (p *Predictor) forward(aliceSeq, yHat, zHat []float64) []float64 {
+	T := p.Cfg.SeqLen
+	if len(aliceSeq) != T {
+		panic(fmt.Sprintf("nn: Predictor wants %d-step sequences, got %d", T, len(aliceSeq)))
 	}
-	xs := make([][]float64, len(aliceSeq))
-	for t, v := range aliceSeq {
-		xs[t] = []float64{v}
-	}
-	hs := p.bilstm.Forward(xs)
+	// InDim is 1, so the sequence itself is the flat T×1 input matrix.
+	hs := p.bilstm.Forward(aliceSeq, T)
+	p.fcPred.forward(hs, T, yHat)
+	p.fcQuant.forward(hs, T, zHat)
+	return hs
+}
+
+// ForwardBatched maps Alice's normalized arRSSI sequence to (predicted
+// Bob sequence, soft bit probabilities), both freshly allocated. Not
+// safe for concurrent use on one instance.
+func (p *Predictor) ForwardBatched(aliceSeq []float64) (yHat, zHat []float64) {
 	yHat = make([]float64, p.Cfg.SeqLen)
-	zHat = make([]float64, 0, p.Cfg.Bits)
-	for t, h := range hs {
-		yHat[t] = p.fcPred[t].Forward(h)[0]
-		zHat = append(zHat, p.fcQuant[t].Forward(h)...)
-	}
+	zHat = make([]float64, p.Cfg.Bits)
+	p.forward(aliceSeq, yHat, zHat)
 	return yHat, zHat
 }
 
@@ -124,22 +129,29 @@ func Bits(zHat []float64) []byte {
 // sequence y and quantized bits z, accumulates gradients, and returns the
 // joint loss. mask, when non-nil, limits the bit loss to the positions
 // Bob's quantizer kept. The caller applies the optimizer step (allowing
-// simple mini-batching by accumulating several samples first).
+// simple mini-batching by accumulating several samples first). Every
+// gradient is bit-identical to the per-step reference (trainref_test.go),
+// and the step allocates nothing once its scratch has grown.
 func (p *Predictor) TrainStep(aliceSeq, y []float64, z []byte, mask []bool) float64 {
-	yHat, zHat := p.Forward(aliceSeq)
-	loss, dyHat, dzHat := JointLoss(p.Cfg.Theta, y, yHat, z, zHat, mask)
+	T, feat := p.Cfg.SeqLen, 2*p.Cfg.Hidden
+	s := &p.sc
+	yHat := grow(&s.yHat, T)
+	zHat := grow(&s.zHat, p.Cfg.Bits)
+	hs := p.forward(aliceSeq, yHat, zHat)
+	dy := grow(&s.dy, T)
+	dz := grow(&s.dz, p.Cfg.Bits)
+	loss := jointLoss(p.Cfg.Theta, y, yHat, z, zHat, mask, dy, dz)
 
-	// Both per-step heads feed gradients back into the shared features.
-	douts := make([][]float64, p.Cfg.SeqLen)
-	for t := 0; t < p.Cfg.SeqLen; t++ {
-		dh := p.fcPred[t].Backward(dyHat[t : t+1])
-		dhq := p.fcQuant[t].Backward(dzHat[t*p.perStep : (t+1)*p.perStep])
-		for i := range dh {
-			dh[i] += dhq[i]
-		}
-		douts[t] = dh
+	// Both per-step heads feed gradients back into the shared features;
+	// each head's sum is formed on its own, then the two are added.
+	dh := grow(&s.dh, T*feat)
+	dhq := grow(&s.dhq, T*feat)
+	p.fcPred.backward(hs, yHat, dy, T, dh)
+	p.fcQuant.backward(hs, zHat, dz, T, dhq)
+	for i, v := range dhq {
+		dh[i] += v
 	}
-	p.bilstm.Backward(douts)
+	p.bilstm.Backward(dh)
 	return loss
 }
 

@@ -88,11 +88,11 @@ type AE struct {
 	// process (the loopback tests and benches do exactly that), so
 	// EncodeBob and Correct can race on these buffers — mu serializes
 	// them. Training and Save/Load stay single-goroutine by contract.
-	mu      sync.Mutex
-	scPM    []float64 // ±1-mapped key for the encoder GEMV
-	scBP    []float64 // backprojection output
-	scFeat  []float64 // batched decoder input rows
-	scScore []float64 // batched decoder output
+	mu     sync.Mutex
+	scPM   []float64 // ±1-mapped key for the encoder GEMV
+	scBP   []float64 // backprojection output
+	scFeat []float64 // batched decoder input rows
+	scDout []float64 // decoder output gradients (training)
 }
 
 // growF returns *buf resized to n, reusing its backing array when
@@ -281,14 +281,13 @@ func (ae *AE) Correct(bloomKeyAlice []byte, yBob []float64) []byte {
 			scores[i] = -1
 		}
 		// One batched decoder pass over all candidates (byte-identical
-		// per row to scoring each position with dec.Forward).
+		// per row to scoring each position on its own).
 		rows := len(candidates)
 		feat := growF(&ae.scFeat, rows*2)
 		for i, j := range candidates {
 			feat[2*i], feat[2*i+1] = absBP[j], kHat
 		}
-		batched := growF(&ae.scScore, rows)
-		ae.dec.ForwardInfer(feat, rows, batched)
+		batched := ae.dec.Forward(feat, rows)
 		for i, j := range candidates {
 			scores[j] = batched[i]
 		}
@@ -392,8 +391,12 @@ func TrainAE(cfg AEConfig, epochs, samplesPerEpoch int, src *rng.Source) *AE {
 	return ae
 }
 
-// trainStep runs one forward/backward decoder pass per bit position.
+// trainStep runs one decoder forward and backward pass over all bit
+// positions as a batch, layer by layer. Each gradient element receives
+// its per-position terms in ascending position order, so the gradients
+// are bit-identical to one pass per position (equivalence_test.go).
 func (ae *AE) trainStep(ka, kb []byte) float64 {
+	n := ae.Cfg.KeyBits
 	yB := ae.encode(kb)
 	yA := ae.encode(ka)
 	h := make([]float64, len(yB))
@@ -401,17 +404,19 @@ func (ae *AE) trainStep(ka, kb []byte) float64 {
 		h[i] = yB[i] - yA[i]
 	}
 	absBP, kHat := ae.features(h)
+	feat := growF(&ae.scFeat, n*2)
+	for j := 0; j < n; j++ {
+		feat[2*j], feat[2*j+1] = absBP[j], kHat
+	}
+	ps := ae.dec.Forward(feat, n)
 	// Positive-weighted binary cross entropy: mismatch positions are a
 	// small minority of the targets and an unweighted loss lets the
 	// decoder collapse to predicting all-zeros.
 	const posWeight = 4.0
 	const eps = 1e-9
 	var loss float64
-	in := make([]float64, 2)
-	dout := make([]float64, 1)
-	for j := 0; j < ae.Cfg.KeyBits; j++ {
-		in[0], in[1] = absBP[j], kHat
-		p := ae.dec.Forward(in)[0]
+	dout := growF(&ae.scDout, n)
+	for j, p := range ps {
 		if p < eps {
 			p = eps
 		}
@@ -420,15 +425,15 @@ func (ae *AE) trainStep(ka, kb []byte) float64 {
 		}
 		if ka[j] != kb[j] {
 			loss += -posWeight * math.Log(p)
-			dout[0] = -posWeight / p
+			dout[j] = -posWeight / p
 		} else {
 			loss += -math.Log(1 - p)
-			dout[0] = 1 / (1 - p)
+			dout[j] = 1 / (1 - p)
 		}
-		dout[0] /= float64(ae.Cfg.KeyBits)
-		ae.dec.Backward(dout)
+		dout[j] /= float64(n)
 	}
-	return loss / float64(ae.Cfg.KeyBits)
+	ae.dec.Backward(dout)
+	return loss / float64(n)
 }
 
 // Reconcile runs the full protocol for one key pair (both ends simulated

@@ -2,6 +2,7 @@ package reconcile
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func TestBloomFilterRoundTrip(t *testing.T) {
 		key := src.Bits(128)
 		return bytes.Equal(bf.Inverse(bf.Transform(key)), key)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +50,7 @@ func TestBloomFilterPreservesMismatchCount(t *testing.T) {
 		}
 		return before == after
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,20 +65,60 @@ func TestBloomFilterDifferentSaltsDiffer(t *testing.T) {
 	}
 }
 
-func TestCascadeConvergesToEqualKeys(t *testing.T) {
-	f := func(seed int64, flips uint8) bool {
-		src := rng.New(seed)
-		ka := src.Bits(128)
-		kb := flipBits(ka, int(flips)%16, src.Derive("flip"))
-		out, err := Cascade(kb, ka, DefaultCascadeConfig(), src.Derive("cascade"))
-		if err != nil {
-			return false
-		}
-		// Cascade with 4 passes corrects small mismatch counts fully.
-		return out.Agreement() >= 0.99
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+// cascadeResidual runs Cascade on a 128-bit key pair differing in flips
+// positions, every draw from seed, and returns the errors left.
+func cascadeResidual(t *testing.T, seed int64, flips int) int {
+	t.Helper()
+	src := rng.New(seed)
+	ka := src.Bits(128)
+	kb := flipBits(ka, flips, src.Derive("flip"))
+	out, err := Cascade(kb, ka, DefaultCascadeConfig(), src.Derive("cascade"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	left := 0
+	for i := range out.AliceKey {
+		if out.AliceKey[i] != out.BobKey[i] {
+			left++
+		}
+	}
+	return left
+}
+
+// TestCascadeConvergesToEqualKeys asserts the property four passes of
+// Cascade without backtracking actually have, over a fixed grid of
+// seeds. A single error always lands in an odd-parity pass-1 block, so
+// it is always corrected. From two errors on, an even number of them
+// can share a block in every pass and survive, so only the share of
+// runs left with errors is bounded. Whatever survives is even: after
+// the last pass every block holds an even number of errors.
+func TestCascadeConvergesToEqualKeys(t *testing.T) {
+	// Over seeds 0..19999 the share of runs left with errors grows from
+	// 0 (one flip) to 0.44 % (15 flips); the bound leaves room above it.
+	const seeds, maxResidualRate = 2000, 0.01
+	for flips := 0; flips <= 15; flips++ {
+		failed := 0
+		for seed := int64(0); seed < seeds; seed++ {
+			left := cascadeResidual(t, seed, flips)
+			if left%2 != 0 || left > flips {
+				t.Fatalf("seed %d, %d flips: %d residual errors, want an even count ≤ flips", seed, flips, left)
+			}
+			if left > 0 && flips <= 1 {
+				t.Fatalf("seed %d, %d flips: %d residual errors, want none", seed, flips, left)
+			}
+			if left > 0 {
+				failed++
+			}
+		}
+		if rate := float64(failed) / seeds; rate > maxResidualRate {
+			t.Errorf("%d flips: %d of %d runs left errors (%.2f%%), bound %.0f%%",
+				flips, failed, seeds, 100*rate, 100*maxResidualRate)
+		}
+	}
+	// The input an unseeded property check once drew: 14 flips two of
+	// which share a block in every pass (agreement 126/128).
+	if left := cascadeResidual(t, 8378129636448620527, 0x6e%16); left != 2 {
+		t.Errorf("replay input: %d residual errors, want 2", left)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -46,8 +47,9 @@ func Pair() (Conn, Conn) {
 	ab := make(chan []byte, 64)
 	ba := make(chan []byte, 64)
 	done := make(chan struct{})
-	a := &memConn{out: ab, in: ba, done: done}
-	b := &memConn{out: ba, in: ab, done: done}
+	once := new(sync.Once)
+	a := &memConn{out: ab, in: ba, done: done, closeOnce: once}
+	b := &memConn{out: ba, in: ab, done: done, closeOnce: once}
 	return a, b
 }
 
@@ -55,6 +57,9 @@ type memConn struct {
 	out  chan []byte
 	in   chan []byte
 	done chan struct{}
+	// closeOnce is shared by both ends: either may close the link, and
+	// both may do so at once.
+	closeOnce *sync.Once
 }
 
 func (c *memConn) Send(msg []byte) error {
@@ -119,11 +124,7 @@ func (c *memConn) drain() ([]byte, error) {
 }
 
 func (c *memConn) Close() error {
-	select {
-	case <-c.done:
-	default:
-		close(c.done)
-	}
+	c.closeOnce.Do(func() { close(c.done) })
 	return nil
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -57,6 +58,25 @@ func TestPairClose(t *testing.T) {
 	}
 	if _, err := b.Recv(); err == nil {
 		t.Fatal("recv on closed pair should fail")
+	}
+}
+
+// TestPairConcurrentClose closes both ends of many pairs from two
+// goroutines at once, as a protocol soak does when either side's
+// finish tears the session down. Close is idempotent across the link,
+// so no interleaving may close the shared channel twice.
+func TestPairConcurrentClose(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		a, b := Pair()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		closeBoth := func() { defer wg.Done(); a.Close(); b.Close() }
+		go closeBoth()
+		go closeBoth()
+		wg.Wait()
+		if err := a.Send([]byte("x")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Send after Close: %v, want ErrClosed", err)
+		}
 	}
 }
 

@@ -164,20 +164,20 @@ func TestWithMediumSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []byte
-	done := make(chan error, 1)
-	go func() {
-		msg, err := b.Recv()
-		got = msg
-		done <- err
-		_ = b.Close()
-	}()
+	// Send first, then receive: the delivered frame waits in the
+	// receiver's queue. A receiver parked first would time out after
+	// DefaultRecvTimeout (30 virtual seconds, 30 ms of wall time at this
+	// TimeScale) whenever the sending goroutine is starved that long, as
+	// it is under -race on a loaded machine, and then close the link
+	// before the probe is sent.
 	if err := a.Send([]byte("probe")); err != nil {
 		t.Fatalf("send over session medium: %v", err)
 	}
-	if err := <-done; err != nil {
+	got, err := b.Recv()
+	if err != nil {
 		t.Fatalf("recv over session medium: %v", err)
 	}
+	_ = b.Close()
 	if string(got) != "probe" {
 		t.Errorf("recv = %q, want %q", got, "probe")
 	}

@@ -1,8 +1,13 @@
 package vehiclekey
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -91,5 +96,57 @@ func TestSchemesRegistered(t *testing.T) {
 	}
 	if unknown.Name != "no-such-scheme" || len(unknown.Known) == 0 {
 		t.Errorf("ErrUnknownScheme fields = %+v", unknown)
+	}
+}
+
+// setupWeightsGolden is the SHA-256 of every trained weight's
+// math.Float64bits that SetupWith produces with cmd/vkperf's options
+// (seed 21, 160 training windows, 12 epochs): tensor names in save
+// order, then each value as 8 big-endian bytes. It was captured before
+// training moved onto the batched kernels and the reconciler fit onto
+// its own goroutine, both of which must leave every weight bit alone.
+const setupWeightsGolden = "a2f6ac1eb731c70c61b191e75f5503c5d9b65dadd5233dd52216b4dde0d59b52"
+
+// TestSetupWeightsGolden pins the trained weights themselves, not only
+// the keys they produce.
+func TestSetupWeightsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	s, err := SetupWith(Options{Seed: 21, TrainingWindows: 160, TrainingEpochs: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// SaveModel writes one gob stream per trained stage (predictor,
+	// then reconciler), each a list of named tensors.
+	var snap struct {
+		Names   []string
+		Weights [][]float64
+	}
+	h := sha256.New()
+	r := bytes.NewReader(buf.Bytes())
+	tensors := 0
+	for r.Len() > 0 {
+		snap.Names, snap.Weights = nil, nil
+		if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range snap.Names {
+			h.Write([]byte(name))
+			for _, v := range snap.Weights[i] {
+				h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		tensors += len(snap.Names)
+	}
+	if tensors == 0 {
+		t.Fatal("saved model holds no tensors")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != setupWeightsGolden {
+		t.Errorf("weights digest over %d tensors = %s, want golden %s", tensors, got, setupWeightsGolden)
 	}
 }
