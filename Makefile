@@ -53,13 +53,17 @@ bench-compare:
 	./scripts/bench-compare.sh $(NEW) $(BASE)
 
 # Seed-corpus fuzz smoke: the wire formats (protocol envelope, server
-# hello and group frame codecs, TCP frame decoder) and the
-# fast-inference numerics (GEMM kernels vs the naive multiply).
+# hello and group frame codecs, TCP frame decoder), the reconcilers'
+# correction halves fed arbitrary peer code vectors (CS syndrome, AE
+# code), and the fast-inference numerics (GEMM kernels vs the naive
+# multiply).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHello -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/group/
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecode -fuzztime 30s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzCS$$' -fuzztime 30s ./internal/reconcile/
+	$(GO) test -run '^$$' -fuzz '^FuzzAEAliceCorrect$$' -fuzztime 30s ./internal/reconcile/
 	$(GO) test -run '^$$' -fuzz FuzzGEMM -fuzztime 30s ./internal/mathx/
 
 # A small vkload run over real localhost TCP: 64 vehicles through the

@@ -646,7 +646,7 @@ func (ks *KeyStream) emit(aliceBits, bobBits []byte) (KeyResult, error) {
 	res := KeyResult{
 		BitsGenerated: len(bobBits),
 		Duration:      ks.duration,
-		PreAgreement:  agreement(aliceBits, bobBits),
+		PreAgreement:  Agreement(aliceBits, bobBits),
 	}
 	ks.duration = 0
 
@@ -666,7 +666,9 @@ func (ks *KeyStream) emit(aliceBits, bobBits []byte) (KeyResult, error) {
 	return res, nil
 }
 
-func agreement(a, b []byte) float64 {
+// Agreement is the fraction of positions where two equal-length bit
+// strings agree; empty or mismatched inputs agree nowhere.
+func Agreement(a, b []byte) float64 {
 	if len(a) == 0 || len(a) != len(b) {
 		return 0
 	}

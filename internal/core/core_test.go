@@ -69,7 +69,7 @@ func TestPredictionImprovesAgreement(t *testing.T) {
 		}
 		aliceBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
 		bobFinal := SelectAt(bobBits, bobKept, finalKept, b)
-		withA += agreement(aliceBits, bobFinal)
+		withA += Agreement(aliceBits, bobFinal)
 		withK += float64(len(finalKept)) / float64(sys.Cfg.SeqLen)
 
 		res, err := quantize.MultiBit(smp.Alice, sys.Cfg.quantConfig(sys.Cfg.PredGuardRatio))
@@ -79,7 +79,7 @@ func TestPredictionImprovesAgreement(t *testing.T) {
 		rawKept := intersect(res.Kept, bobKept)
 		rawBits := SelectAt(res.Bits, res.Kept, rawKept, b)
 		bobRaw := SelectAt(bobBits, bobKept, rawKept, b)
-		woA += agreement(rawBits, bobRaw)
+		woA += Agreement(rawBits, bobRaw)
 		woK += float64(len(rawKept)) / float64(sys.Cfg.SeqLen)
 	}
 	n := float64(len(test.Samples))

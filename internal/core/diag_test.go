@@ -18,7 +18,7 @@ func keptAgreement(sys *System, alice, bob []float64) float64 {
 	if err != nil || len(kept) == 0 {
 		return 0
 	}
-	return agreement(sys.AliceBitsAt(alice, kept), bits)
+	return Agreement(sys.AliceBitsAt(alice, kept), bits)
 }
 
 // TestDiagTraining is a tuning harness: it reports train/test kept-bit
@@ -63,7 +63,7 @@ func TestDiagTraining(t *testing.T) {
 		ra, _ := quantize.MultiBit(smp.Alice, qc)
 		rb, _ := quantize.MultiBit(smp.Bob, qc)
 		ba, bb := quantize.IntersectKept(ra, rb, sys.Cfg.BitsPerSample)
-		raw += agreement(ba, bb)
+		raw += Agreement(ba, bb)
 	}
 	t.Logf("no-prediction kept-intersection agreement: %.4f", raw/float64(len(test.Samples)))
 }

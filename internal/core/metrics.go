@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/mathx"
 	"repro/internal/trace"
 )
 
@@ -42,61 +42,40 @@ func (m Metrics) String() string {
 // Evaluate streams the dataset's samples through key generation and
 // aggregates block metrics. salt seeds the session value.
 func (s *System) Evaluate(ds *trace.Dataset, salt []byte) (Metrics, error) {
-	ks := s.NewKeyStream(salt)
-	var results []KeyResult
-	for _, smp := range ds.Samples {
-		rs, err := ks.Push(smp)
-		if err != nil {
-			return Metrics{}, err
-		}
-		results = append(results, rs...)
-	}
-	return aggregate(results, ds.TotalDuration()), nil
+	return s.evaluate(ds.Samples, salt, ds.TotalDuration())
 }
 
 // EvaluateEve measures an attacker's best key agreement against Bob. Eve
 // runs the same trained model over her own measurements (she knows the
 // full protocol, including Bob's announced kept indices) and, per the
 // paper's Fig. 15 methodology, feeds the intercepted code vector y_Bob to
-// the reconciler with her own key material.
+// the reconciler with her own key material: her sequence takes Alice's
+// place in the key stream, confidence gating included.
 func (s *System) EvaluateEve(ds *trace.Dataset, imitate bool, salt []byte) (Metrics, error) {
-	var eveBuf, bobBuf []byte
+	samples := make([]trace.Sample, len(ds.Samples))
+	for i, smp := range ds.Samples {
+		smp.Alice = smp.EveEavesdrop
+		if imitate {
+			smp.Alice = smp.EveImitate
+		}
+		samples[i] = smp
+	}
+	return s.evaluate(samples, salt, 0)
+}
+
+// evaluate runs samples through one key stream; totalTime (seconds of
+// probing) enables the KGR fields when positive.
+func (s *System) evaluate(samples []trace.Sample, salt []byte, totalTime float64) (Metrics, error) {
+	ks := s.NewKeyStream(salt)
 	var results []KeyResult
-	emitted := 0
-	block := s.BlockBits()
-	for _, smp := range ds.Samples {
-		bobBits, bobKept, err := s.BobQuantize(smp.Bob)
+	for _, smp := range samples {
+		rs, err := ks.Push(smp)
 		if err != nil {
 			return Metrics{}, err
 		}
-		eveSeq := smp.EveEavesdrop
-		if imitate {
-			eveSeq = smp.EveImitate
-		}
-		// Eve plays Alice's role with her own measurements, including the
-		// confidence gating Alice would apply.
-		eveBits, finalKept := s.AliceSelect(eveSeq, bobKept)
-		eveBuf = append(eveBuf, eveBits...)
-		bobBuf = append(bobBuf, SelectAt(bobBits, bobKept, finalKept, s.SampleBits())...)
-		for len(bobBuf) >= block {
-			emitted++
-			roundSalt := append(append([]byte{}, salt...), byte(emitted), byte(emitted>>8))
-			res := KeyResult{
-				BitsGenerated: block,
-				PreAgreement:  agreement(eveBuf[:block], bobBuf[:block]),
-			}
-			out, err := s.Stages.Reconciler.Reconcile(eveBuf[:block], bobBuf[:block], roundSalt)
-			if err != nil {
-				return Metrics{}, err
-			}
-			res.PostAgreement = out.Agreement()
-			res.Exact = out.Exact()
-			eveBuf = eveBuf[block:]
-			bobBuf = bobBuf[block:]
-			results = append(results, res)
-		}
+		results = append(results, rs...)
 	}
-	return aggregate(results, 0), nil
+	return aggregate(results, totalTime), nil
 }
 
 // Aggregate folds a set of key results into Metrics; totalTime (seconds
@@ -124,26 +103,12 @@ func aggregate(results []KeyResult, totalTime float64) Metrics {
 			netBits += nb
 		}
 	}
-	m.PreKAR, m.PreKARStd = meanStd(pre)
-	m.PostKAR, m.PostKARStd = meanStd(post)
+	m.PreKAR, m.PreKARStd = mathx.Mean(pre), mathx.Std(pre)
+	m.PostKAR, m.PostKARStd = mathx.Mean(post), mathx.Std(post)
 	m.ExactRate /= float64(m.Blocks)
 	if totalTime > 0 {
 		m.KGR = agreedBits / totalTime
 		m.NetKGR = netBits / totalTime
 	}
 	return m
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		std += (x - mean) * (x - mean)
-	}
-	return mean, math.Sqrt(std / float64(len(xs)))
 }

@@ -36,7 +36,7 @@ func TestBitSourceVariants(t *testing.T) {
 		yHat, _ := sys.predictorNet().ForwardBatched(smp.Alice)
 		headBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
 		bobFinal := SelectAt(bobBits, bobKept, finalKept, b)
-		headAgree += agreement(headBits, bobFinal)
+		headAgree += Agreement(headBits, bobFinal)
 		// Variant: quantize yHat (no guard) and select the same indices.
 		qc := sys.Cfg.quantConfig(0)
 		resY, err := quantize.MultiBit(yHat, qc)
@@ -44,7 +44,7 @@ func TestBitSourceVariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		seqBits := SelectAt(resY.Bits, resY.Kept, finalKept, b)
-		seqAgree += agreement(seqBits, bobFinal)
+		seqAgree += Agreement(seqBits, bobFinal)
 		keep += float64(len(finalKept)) / float64(sys.Cfg.SeqLen)
 	}
 	n := float64(len(test.Samples))

@@ -67,7 +67,7 @@ func ablatePrediction(sys *core.System, test *trace.Dataset) (withA, withK, woA,
 		}
 		aliceBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
 		bobFinal := pipeline.SelectAt(bobBits, bobKept, finalKept, b)
-		withA += bitAgree(aliceBits, bobFinal)
+		withA += core.Agreement(aliceBits, bobFinal)
 		withK += float64(len(finalKept)) / float64(sys.Cfg.SeqLen)
 
 		// The "without prediction" arm feeds Alice's raw sequence through
@@ -79,23 +79,10 @@ func ablatePrediction(sys *core.System, test *trace.Dataset) (withA, withK, woA,
 		rawKept := intersectInts(keptAll, bobKept)
 		rawBits := pipeline.SelectAt(rawAll, keptAll, rawKept, b)
 		bobRaw := pipeline.SelectAt(bobBits, bobKept, rawKept, b)
-		woA += bitAgree(rawBits, bobRaw)
+		woA += core.Agreement(rawBits, bobRaw)
 		woK += float64(len(rawKept)) / float64(sys.Cfg.SeqLen)
 	}
 	return withA / n, withK / n, woA / n, woK / n, nil
-}
-
-func bitAgree(a, b []byte) float64 {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0
-	}
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	return float64(same) / float64(len(a))
 }
 
 func intersectInts(a, b []int) []int {

@@ -91,7 +91,7 @@ func keyflowPolicy(pkgBase, name string) (policySpec, bool) {
 		// results are public wire data by design.
 		case "Quantize", "BobQuantize", "QuantizePredicted", "AliceBitsAt",
 			"MultiBit", "MeanThreshold", "Select", "SelectAt", "AliceSelect",
-			"Amplify", "Cascade", "CS", "CSISTA", "Reconcile",
+			"Amplify", "Cascade", "CSISTA", "Reconcile",
 			"CascadeSyndromeCorrect", "CSISTACorrect", "AlicePrecompute":
 			return policySpec{results: []taintKind{kindRaw}}, true
 		case "IntersectKept":

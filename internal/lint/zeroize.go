@@ -7,7 +7,7 @@ import (
 )
 
 // zeroizeScope is the set of packages that handle live key material.
-var zeroizeScope = []string{"secure", "protocol", "amplify", "group", "pipeline"}
+var zeroizeScope = []string{"secure", "protocol", "amplify", "group", "pipeline", "reconcile"}
 
 func init() {
 	register(&Analyzer{

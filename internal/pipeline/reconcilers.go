@@ -33,10 +33,11 @@ func DefaultCascadeConfig() CascadeConfig { return reconcile.DefaultCascadeConfi
 // Autoencoder stage (Vehicle-Key).
 // ---------------------------------------------------------------------
 
-// AEStage wraps the autoencoder reconciler behind the salted Bloom
-// transform: both wire halves bloom the raw block before touching the
-// autoencoder, so the MAC-keying image the protocol sees is the
-// Bloom-domain key, never the raw bits.
+// AEStage adapts the autoencoder reconciler to the stage interface. The
+// autoencoder's wire halves bloom the raw block under the session salt
+// before encoding, so the MAC-keying image the protocol sees is the
+// Bloom-domain key, never the raw bits; its local Reconcile runs the
+// same two halves.
 type AEStage struct {
 	ae      *reconcile.AE
 	cfg     reconcile.AEConfig
@@ -63,39 +64,27 @@ func (s *AEStage) Reconcile(alice, bob, salt []byte) (Outcome, error) {
 }
 
 func (s *AEStage) BobEncode(block, salt []byte) ([]float64, []byte, error) {
-	if len(block) != s.ae.Cfg.KeyBits {
-		return nil, nil, &StageError{Stage: "reconciler",
-			Err: fmt.Errorf("block length %d, want %d", len(block), s.ae.Cfg.KeyBits)}
+	code, image, err := s.ae.BobEncode(block, salt)
+	if err != nil {
+		return nil, nil, &StageError{Stage: "reconciler", Err: err}
 	}
-	bf := reconcile.BloomFor(len(block), salt)
-	bloomKey := bf.Transform(block)
-	code := s.ae.EncodeBob(bloomKey)
-	return code, bloomKey, nil
+	return code, image, nil
 }
 
+// AliceCorrect fails a block or code of the wrong length (a hostile or
+// corrupted envelope) with a StageError, never an index panic.
 func (s *AEStage) AliceCorrect(block []byte, code []float64, salt []byte) ([]byte, []byte, error) {
-	if len(block) != s.ae.Cfg.KeyBits {
-		return nil, nil, &StageError{Stage: "reconciler",
-			Err: fmt.Errorf("block length %d, want %d", len(block), s.ae.Cfg.KeyBits)}
+	final, image, err := s.ae.AliceCorrect(block, code, salt)
+	if err != nil {
+		return nil, nil, &StageError{Stage: "reconciler", Err: err}
 	}
-	if len(code) != s.ae.Cfg.CodeDim {
-		// A hostile or corrupted envelope must fail the round, not
-		// index out of range inside the decoder.
-		return nil, nil, &StageError{Stage: "reconciler",
-			Err: fmt.Errorf("code length %d, want %d", len(code), s.ae.Cfg.CodeDim)}
-	}
-	bf := reconcile.BloomFor(len(block), salt)
-	bloomKey := bf.Transform(block)
-	corrected := s.ae.Correct(bloomKey, code)
-	secure.Wipe(bloomKey)
-	final := bf.Inverse(corrected)
-	return final, corrected, nil
+	return final, image, nil
 }
 
 // EncodeRaw encodes a block without the Bloom transform. It exists for
 // the Fig. 9 bloom ablation, which measures exactly the linkage the
 // transform is there to destroy.
-func (s *AEStage) EncodeRaw(block []byte) []float64 { return s.ae.EncodeBob(block) }
+func (s *AEStage) EncodeRaw(block []byte) []float64 { return s.ae.EncodeRaw(block) }
 
 // Fit trains the autoencoder in place with the construction-time knobs.
 func (s *AEStage) Fit(src *rng.Source) {
@@ -115,7 +104,8 @@ func (s *AEStage) Load(r io.Reader) error { return s.ae.Load(r) }
 // ---------------------------------------------------------------------
 
 // CSStage reconciles with the compressed-sensing syndrome over the
-// shared sensing matrix; the local path runs the ISTA decode of CSISTA.
+// shared sensing matrix; the local path, CSISTA, runs the same two
+// halves as the wire path.
 // The stage is stateless: the matrix derives from cfg.MatrixSeed.
 type CSStage struct {
 	cfg   reconcile.CSConfig

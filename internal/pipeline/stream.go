@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"math"
-
-	"repro/internal/mathx"
-)
+import "repro/internal/mathx"
 
 // StreamResult aggregates one scheme's stream evaluation, mirroring
 // core.Metrics for the paper's Fig. 12/13 comparison.
@@ -65,26 +61,11 @@ func EvaluateStream(st Stages, alice, bob []float64, totalTime float64) (StreamR
 	if res.Blocks == 0 {
 		return res, nil
 	}
-	res.PreKAR, res.PreKARStd = meanStd(pre)
-	res.PostKAR, res.PostKARStd = meanStd(post)
+	res.PreKAR, res.PreKARStd = mathx.Mean(pre), mathx.Std(pre)
+	res.PostKAR, res.PostKARStd = mathx.Mean(post), mathx.Std(post)
 	if totalTime > 0 {
 		res.KGR = agreedBits / totalTime
 		res.NetKGR = netBits / totalTime
 	}
 	return res, nil
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	var v float64
-	for _, x := range xs {
-		v += (x - mean) * (x - mean)
-	}
-	return mean, math.Sqrt(v / float64(len(xs)))
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/amplify"
 	"repro/internal/core"
+	"repro/internal/secure"
 	"repro/internal/trace"
 )
 
@@ -70,7 +71,7 @@ func Profile(sys *core.System, smp trace.Sample, iters int) ([]Measurement, erro
 	bobFinal := core.SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)
 
 	// Pad both to the reconciliation block (profiling a single round).
-	block := sys.Cfg.KeyBlockBits
+	block := sys.BlockBits()
 	padTo := func(bits []byte) []byte {
 		out := make([]byte, block)
 		copy(out, bits)
@@ -78,18 +79,26 @@ func Profile(sys *core.System, smp trace.Sample, iters int) ([]Measurement, erro
 	}
 	a64, b64 := padTo(aliceBits), padTo(bobFinal)
 
-	// Bob: reconciliation encode.
+	// Reconciliation: each side pays only its own wire half, Bob the
+	// encode and Alice the correction against his actual code vector.
+	code, bobImage, err := sys.BobEncode(b64, salt)
+	if err != nil {
+		return nil, err
+	}
+	secure.Wipe(bobImage)
+	_, aliceImage, err := sys.AliceCorrect(a64, code, salt)
+	if err != nil {
+		return nil, err
+	}
+	secure.Wipe(aliceImage)
 	tBobRec := timeIt(func() {
-		out, _ := sys.Stages.Reconciler.Reconcile(a64, b64, salt)
-		_ = out
+		_, img, _ := sys.BobEncode(b64, salt)
+		secure.Wipe(img)
 	})
-	// Alice: full reconciliation (encode + decode). Measure her cost via
-	// the same call; Bob's share is the encoder only, which is a small
-	// fraction — approximate it by the encoder's op share.
-	tAliceRec := tBobRec
-	encShare := float64(sys.Cfg.AE.KeyBits*sys.Cfg.AE.CodeDim) /
-		float64(sys.Cfg.AE.KeyBits*sys.Cfg.AE.CodeDim*2+sys.Cfg.AE.KeyBits*(sys.Cfg.AE.DecoderUnits*sys.Cfg.AE.DecoderUnits+3*sys.Cfg.AE.DecoderUnits))
-	tBobRecOnly := time.Duration(float64(tBobRec) * encShare)
+	tAliceRec := timeIt(func() {
+		_, img, _ := sys.AliceCorrect(a64, code, salt)
+		secure.Wipe(img)
+	})
 
 	// Privacy amplification (both sides, microseconds).
 	tPA := timeIt(func() {
@@ -103,7 +112,7 @@ func Profile(sys *core.System, smp trace.Sample, iters int) ([]Measurement, erro
 		{Side: "Alice", Stage: "Prediction and quantization", Duration: tAlicePred, EnergyMJ: mj(tAlicePred, predictionDrawW)},
 		{Side: "Bob", Stage: "Prediction and quantization", Duration: tBobQuant, EnergyMJ: mj(tBobQuant, quantizeDrawW)},
 		{Side: "Alice", Stage: "Reconciliation", Duration: tAliceRec, EnergyMJ: mj(tAliceRec, reconcileDrawW)},
-		{Side: "Bob", Stage: "Reconciliation", Duration: tBobRecOnly, EnergyMJ: mj(tBobRecOnly, reconcileDrawW)},
+		{Side: "Bob", Stage: "Reconciliation", Duration: tBobRec, EnergyMJ: mj(tBobRec, reconcileDrawW)},
 		{Side: "Alice", Stage: "Privacy amplification", Duration: tPA, EnergyMJ: mj(tPA, reconcileDrawW)},
 		{Side: "Bob", Stage: "Privacy amplification", Duration: tPA, EnergyMJ: mj(tPA, reconcileDrawW)},
 	}, nil
@@ -138,7 +147,7 @@ func ModelProfile(sys *core.System) []Measurement {
 	// Bob's quantizer: a threshold scan per sample.
 	quantOps := seq * float64(int(1)<<cfg.BitsPerSample) * 4
 	// Autoencoder: encoder KeyBits×CodeDim; decoder adds the per-position
-	// shared units (same expression Profile's encoder share uses).
+	// shared units.
 	enc := float64(cfg.AE.KeyBits * cfg.AE.CodeDim)
 	dec := enc + float64(cfg.AE.KeyBits*(cfg.AE.DecoderUnits*cfg.AE.DecoderUnits+3*cfg.AE.DecoderUnits))
 	// Privacy amplification: one hash pass over the block.

@@ -2,7 +2,7 @@ package reconcile
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/secure"
 )
 
 // AEConfig sizes the autoencoder reconciler.
@@ -86,7 +87,7 @@ type AE struct {
 	// Scratch buffers, reused across calls. One System is routinely
 	// shared between an Alice and a Bob protocol node in the same
 	// process (the loopback tests and benches do exactly that), so
-	// EncodeBob and Correct can race on these buffers — mu serializes
+	// the two wire halves can race on these buffers — mu serializes
 	// them. Training and Save/Load stay single-goroutine by contract.
 	mu     sync.Mutex
 	scPM   []float64 // ±1-mapped key for the encoder GEMV
@@ -129,7 +130,7 @@ func NewAE(cfg AEConfig, src *rng.Source) *AE {
 	return ae
 }
 
-// decodeRounds is the fixed number of decode/cancel rounds Correct runs;
+// decodeRounds is the fixed number of decode/cancel rounds correct runs;
 // a small constant keeps the cost an order of magnitude below iterative
 // CS while interference cancellation recovers most of its accuracy.
 const decodeRounds = 3
@@ -212,27 +213,60 @@ func (ae *AE) features(h []float64) (absBP []float64, kHat float64) {
 	return bp, hNorm / 4
 }
 
-// EncodeBob is Bob's half of reconciliation: his Bloom-filtered key is
-// compressed into the code vector y_Bob that he transmits to Alice.
-func (ae *AE) EncodeBob(bloomKeyBob []byte) []float64 {
-	if len(bloomKeyBob) != ae.Cfg.KeyBits {
+// EncodeRaw compresses a KeyBits-bit key into a code vector with no
+// Bloom transform in front. BobEncode runs it on the Bloom-filtered
+// block; on its own it serves the Fig. 9 bloom ablation, which measures
+// exactly the linkage the transform is there to destroy.
+func (ae *AE) EncodeRaw(bits []byte) []float64 {
+	if len(bits) != ae.Cfg.KeyBits {
 		panic("reconcile: key length mismatch")
 	}
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
-	return ae.encode(bloomKeyBob)
+	return ae.encode(bits)
 }
 
-// Correct is Alice's half: from her Bloom-filtered key and Bob's received
-// code vector she decodes the mismatch pattern and returns her corrected
-// key (in the Bloom-filtered domain).
+// BobEncode is Bob's wire half: his block passes through the session's
+// salted Bloom filter and the encoder, giving the code vector y_Bob he
+// transmits. image is his Bloom-domain key, the MAC-keying image the
+// caller must wipe.
+func (ae *AE) BobEncode(keyBob, salt []byte) (code []float64, image []byte, err error) {
+	if len(keyBob) != ae.Cfg.KeyBits {
+		return nil, nil, fmt.Errorf("reconcile: block length %d, want %d", len(keyBob), ae.Cfg.KeyBits)
+	}
+	image = bloomFor(len(keyBob), salt).Transform(keyBob)
+	return ae.EncodeRaw(image), image, nil
+}
+
+// AliceCorrect is Alice's wire half: she filters her block under the
+// same salt, decodes it against Bob's code vector and maps the result
+// back. final is her corrected block and image its Bloom-domain form,
+// the MAC-verification image the caller must wipe. A block or code of
+// the wrong length (a corrupted or hostile envelope) is an error, never
+// a panic.
+func (ae *AE) AliceCorrect(keyAlice []byte, code []float64, salt []byte) (final, image []byte, err error) {
+	if len(keyAlice) != ae.Cfg.KeyBits {
+		return nil, nil, fmt.Errorf("reconcile: block length %d, want %d", len(keyAlice), ae.Cfg.KeyBits)
+	}
+	if len(code) != ae.Cfg.CodeDim {
+		return nil, nil, fmt.Errorf("reconcile: code length %d, want %d", len(code), ae.Cfg.CodeDim)
+	}
+	bf := bloomFor(len(keyAlice), salt)
+	bloomKey := bf.Transform(keyAlice)
+	image = ae.correct(bloomKey, code)
+	secure.Wipe(bloomKey)
+	return bf.Inverse(image), image, nil
+}
+
+// correct decodes Alice's Bloom-filtered key against Bob's code vector
+// and returns her corrected key, still in the Bloom-filtered domain.
 //
 // Decoding runs a fixed small number of rounds: each round scores
 // candidate positions with the shared decoder, flips the most confident
 // ones, and cancels their contribution from the code difference h, so the
 // next round sees less interference. After the first round only the
 // positions that were plausible candidates (largest |Wᵀh|) are rescored.
-func (ae *AE) Correct(bloomKeyAlice []byte, yBob []float64) []byte {
+func (ae *AE) correct(bloomKeyAlice []byte, yBob []float64) []byte {
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
 	n := ae.Cfg.KeyBits
@@ -436,34 +470,31 @@ func (ae *AE) trainStep(ka, kb []byte) float64 {
 	return loss / float64(n)
 }
 
-// Reconcile runs the full protocol for one key pair (both ends simulated
-// locally) and reports the outcome. salt keys the session's Bloom filter.
+// Reconcile runs both wire halves for one key pair in process and
+// reports the outcome. salt keys the session's Bloom filter.
 func (ae *AE) Reconcile(keyAlice, keyBob, salt []byte) (Outcome, error) {
-	if len(keyAlice) != ae.Cfg.KeyBits || len(keyBob) != ae.Cfg.KeyBits {
-		return Outcome{}, errors.New("reconcile: key length mismatch")
+	code, bobImage, err := ae.BobEncode(keyBob, salt)
+	if err != nil {
+		return Outcome{}, err
 	}
-	// Repeated session salts are served from the package cache; the
-	// filter is pure in (n, salt), so the keys are unchanged.
-	bf := BloomFor(ae.Cfg.KeyBits, salt)
-	bkA := bf.Transform(keyAlice)
-	bkB := bf.Transform(keyBob)
+	secure.Wipe(bobImage)
+	aliceKey, aliceImage, err := ae.AliceCorrect(keyAlice, code, salt)
+	if err != nil {
+		return Outcome{}, err
+	}
+	secure.Wipe(aliceImage)
 
-	ops := newOpCounter()
-	yBob := ae.EncodeBob(bkB)
-	ops.add(ae.Cfg.KeyBits * ae.Cfg.CodeDim) // Bob: one encoder pass
-	corrected := ae.Correct(bkA, yBob)
-	// Alice: encoder, one backprojection per round, a full scoring pass in
-	// round 0 plus candidate-only rescoring after (≈ 0.8·N in total).
 	n, m, u := ae.Cfg.KeyBits, ae.Cfg.CodeDim, ae.Cfg.DecoderUnits
 	perPos := 2*u + u*u + u
-	ops.add(n*m + decodeRounds*m*n + (n+4*n/5)*perPos)
-
 	return Outcome{
-		AliceKey:      bf.Inverse(corrected),
-		BobKey:        keyBob,
-		Messages:      1,
-		SyndromeBits:  m * 64, // float64 code vector
-		ComputeOps:    ops.total,
+		AliceKey:     aliceKey,
+		BobKey:       keyBob,
+		Messages:     1,
+		SyndromeBits: m * 64, // float64 code vector
+		// Bob: one encoder pass. Alice: encoder, one backprojection per
+		// round, a full scoring pass in round 0 plus candidate-only
+		// rescoring after (≈ 0.8·N in total).
+		ComputeOps:    n*m + n*m + decodeRounds*m*n + (n+4*n/5)*perPos,
 		LeakedKeyBits: m,
 		Method:        "autoencoder",
 	}, nil

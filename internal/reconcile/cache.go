@@ -5,13 +5,13 @@
 //   - BloomFilter: permutation + pad derived by SHA-256 from (n, salt);
 //     Transform/Inverse only read it.
 //   - CS sensing matrix: ±1/√m entries derived from (m, n, seed); the
-//     OMP/ISTA solvers only read it.
+//     ISTA decoder only reads it.
 //   - Cascade pass permutation: Fisher–Yates order derived from
 //     (salt, pass, n); the encode/correct passes only read it.
 //
 // Purity makes the caches safe to share across the server worker pool
 // (memo.LRU is mutex-guarded, and a racing duplicate construction is
-// identical by determinism); cache_test.go proves cached == fresh
+// identical by determinism); equivalence_test.go proves cached == fresh
 // byte-for-byte and the race soak in the server package exercises the
 // sharing.
 package reconcile
@@ -43,11 +43,11 @@ var (
 	permCache  = memo.NewLRU[permKey, []int](256)
 )
 
-// BloomFor returns the Bloom transform for (n, salt), constructing it
+// bloomFor returns the Bloom transform for (n, salt), constructing it
 // at most once per cached key. The returned filter is shared and
 // read-only; construction is deterministic, so every caller sees the
 // same permutation regardless of which goroutine built it.
-func BloomFor(n int, salt []byte) *BloomFilter {
+func bloomFor(n int, salt []byte) *BloomFilter {
 	k := bloomKey{n: n, salt: string(salt)}
 	if bf, ok := bloomCache.Get(k); ok {
 		return bf
@@ -57,8 +57,8 @@ func BloomFor(n int, salt []byte) *BloomFilter {
 	return bf
 }
 
-// sensingMatrixCached is the memoized sensingMatrix. The CS solvers
-// only read the returned slice.
+// sensingMatrixCached is the memoized sensingMatrix. The CS halves only
+// read the returned slice.
 func sensingMatrixCached(m, n int, seed int64) []float64 {
 	k := phiKey{m: m, n: n, seed: seed}
 	if phi, ok := phiCache.Get(k); ok {

@@ -19,6 +19,15 @@ type CascadeConfig struct {
 // DefaultCascadeConfig matches the paper's Han et al. setup.
 func DefaultCascadeConfig() CascadeConfig { return CascadeConfig{InitialBlock: 3, Passes: 4} }
 
+func (c *CascadeConfig) normalize() {
+	if c.InitialBlock <= 0 {
+		c.InitialBlock = 3
+	}
+	if c.Passes <= 0 {
+		c.Passes = 4
+	}
+}
+
 // Cascade reconciles Alice's key against Bob's with the interactive
 // Cascade protocol, simulating both ends locally and accounting for every
 // parity bit that would cross the public channel. Alice's bits are
@@ -27,17 +36,11 @@ func Cascade(keyAlice, keyBob []byte, cfg CascadeConfig, src *rng.Source) (Outco
 	if len(keyAlice) != len(keyBob) {
 		return Outcome{}, errors.New("reconcile: key length mismatch")
 	}
-	if cfg.InitialBlock <= 0 {
-		cfg.InitialBlock = 3
-	}
-	if cfg.Passes <= 0 {
-		cfg.Passes = 4
-	}
+	cfg.normalize()
 	n := len(keyAlice)
 	alice := make([]byte, n)
 	copy(alice, keyAlice)
 
-	ops := newOpCounter()
 	out := Outcome{BobKey: keyBob, Method: "cascade"}
 
 	block := cfg.InitialBlock
@@ -53,28 +56,27 @@ func Cascade(keyAlice, keyBob []byte, cfg CascadeConfig, src *rng.Source) (Outco
 			out.Messages += 2
 			out.SyndromeBits += 2
 			out.LeakedKeyBits++
-			ops.add(len(idx) * 2)
+			out.ComputeOps += len(idx) * 2
 			if parity(alice, idx) != parity(keyBob, idx) {
-				fixOneError(alice, keyBob, idx, &out, ops)
+				fixOneError(alice, keyBob, idx, &out)
 			}
 		}
 		block *= 2
 	}
 	out.AliceKey = alice
-	out.ComputeOps = ops.total
 	return out, nil
 }
 
 // fixOneError binary-searches the block for one mismatched bit, counting
 // the interactive parity exchanges, and flips it on Alice's side.
-func fixOneError(alice, bob []byte, idx []int, out *Outcome, ops *opCounter) {
+func fixOneError(alice, bob []byte, idx []int, out *Outcome) {
 	lo, hi := 0, len(idx)
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		out.Messages += 2
 		out.SyndromeBits += 2
 		out.LeakedKeyBits++
-		ops.add((mid - lo) * 2)
+		out.ComputeOps += (mid - lo) * 2
 		if parity(alice, idx[lo:mid]) != parity(bob, idx[lo:mid]) {
 			hi = mid
 		} else {

@@ -35,12 +35,7 @@ import (
 // per pass. Each is a linear equation over the key bits, so this is
 // exactly the eavesdropper leakage of CascadeSyndromeEncode.
 func CascadeSyndromeBits(n int, cfg CascadeConfig) int {
-	if cfg.InitialBlock <= 0 {
-		cfg.InitialBlock = 3
-	}
-	if cfg.Passes <= 0 {
-		cfg.Passes = 4
-	}
+	cfg.normalize()
 	total := 0
 	block := cfg.InitialBlock
 	for pass := 0; pass < cfg.Passes; pass++ {
@@ -62,12 +57,7 @@ func cascadePerm(salt []byte, pass, n int) []int {
 // Cascade block in every pass, flattened into one code vector of
 // CascadeSyndromeBits(len(keyBob), cfg) bits.
 func CascadeSyndromeEncode(keyBob, salt []byte, cfg CascadeConfig) []float64 {
-	if cfg.InitialBlock <= 0 {
-		cfg.InitialBlock = 3
-	}
-	if cfg.Passes <= 0 {
-		cfg.Passes = 4
-	}
+	cfg.normalize()
 	n := len(keyBob)
 	var code []float64
 	block := cfg.InitialBlock
@@ -95,12 +85,7 @@ func CascadeSyndromeEncode(keyBob, salt []byte, cfg CascadeConfig) []float64 {
 // (wrong length, non-bit values) are rejected with an error, never a
 // panic.
 func CascadeSyndromeCorrect(keyAlice []byte, code []float64, salt []byte, cfg CascadeConfig) ([]byte, error) {
-	if cfg.InitialBlock <= 0 {
-		cfg.InitialBlock = 3
-	}
-	if cfg.Passes <= 0 {
-		cfg.Passes = 4
-	}
+	cfg.normalize()
 	n := len(keyAlice)
 	if len(code) != CascadeSyndromeBits(n, cfg) {
 		return nil, errors.New("reconcile: cascade syndrome length mismatch")

@@ -11,100 +11,83 @@ import (
 // LoRa-Key and Gao et al. baselines (the paper fixes the random matrix at
 // 20×64 for both).
 type CSConfig struct {
-	// Rows is M, the syndrome dimension.
+	// Rows is M, the syndrome dimension; 0 means 20.
 	Rows int
-	// MaxSparsity bounds the number of mismatches the decoder will try to
-	// recover; 0 derives it from Rows/2 (a standard CS operating point).
-	MaxSparsity int
 	// MatrixSeed seeds the shared sensing matrix; both parties derive the
 	// same Φ from it publicly.
 	MatrixSeed int64
-	// ISTAIterations is the iteration budget of the ℓ1 decoder (CSISTA);
-	// 0 means 200, a typical basis-pursuit operating point.
-	ISTAIterations int
 }
 
 // DefaultCSConfig matches the paper's comparison setup for 64-bit keys.
 func DefaultCSConfig() CSConfig { return CSConfig{Rows: 20, MatrixSeed: 99} }
 
-// CS reconciles Alice's key against Bob's with syndrome-based compressed
-// sensing: Bob transmits y = Φ·k_B, Alice computes Φ·k_A − y = Φ·e for the
-// sparse mismatch vector e and recovers e with orthogonal matching
-// pursuit. OMP's iterative least-squares decode is what makes this method
-// roughly an order of magnitude more expensive than the autoencoder's
-// single forward pass (Fig. 11).
-func CS(keyAlice, keyBob []byte, cfg CSConfig) (Outcome, error) {
-	if len(keyAlice) != len(keyBob) {
-		return Outcome{}, errors.New("reconcile: key length mismatch")
+func (c *CSConfig) normalize() {
+	if c.Rows <= 0 {
+		c.Rows = 20
 	}
-	n := len(keyAlice)
-	if cfg.Rows <= 0 {
-		cfg.Rows = 20
-	}
-	if cfg.MaxSparsity <= 0 {
-		cfg.MaxSparsity = cfg.Rows / 2
-	}
-	m := cfg.Rows
-	phi := sensingMatrixCached(m, n, cfg.MatrixSeed)
-	ops := newOpCounter()
-
-	// Bob's syndrome and Alice's local projection.
-	yB := matVecBits(phi, keyBob, m, n)
-	yA := matVecBits(phi, keyAlice, m, n)
-	ops.add(2 * m * n)
-	resid := make([]float64, m)
-	for i := range resid {
-		resid[i] = yA[i] - yB[i] // Φ·e, e ∈ {−1,0,+1}
-	}
-
-	support, coef := omp(phi, resid, m, n, cfg.MaxSparsity, ops)
-
-	alice := make([]byte, n)
-	copy(alice, keyAlice)
-	for k, j := range support {
-		// e_j ≈ ±1 means Alice's bit j differs from Bob's.
-		if math.Abs(coef[k]) > 0.5 {
-			alice[j] ^= 1
-		}
-	}
-	return Outcome{
-		AliceKey:      alice,
-		BobKey:        keyBob,
-		Messages:      1,
-		SyndromeBits:  m * 64,
-		ComputeOps:    ops.total,
-		LeakedKeyBits: m,
-		Method:        "cs-omp",
-	}, nil
 }
 
-// CSISTA reconciles like CS but decodes the sparse mismatch vector with
-// iterative soft-thresholding (ISTA), the ℓ1-minimization decode that
-// LoRa-Key's CS reconciliation performs. Its hundreds of full
-// matrix-vector iterations are the computation cost the paper's Fig. 11
-// reports the autoencoder cutting by roughly an order of magnitude.
+// istaIterations is the iteration budget of the ℓ1 decoder, a typical
+// basis-pursuit operating point.
+const istaIterations = 200
+
+// CSISTA reconciles Alice's key against Bob's with syndrome-based
+// compressed sensing, decoding the sparse mismatch vector with iterative
+// soft-thresholding (ISTA), the ℓ1-minimization decode that LoRa-Key's
+// CS reconciliation performs. Its hundreds of full matrix-vector
+// iterations are the computation cost the paper's Fig. 11 reports the
+// autoencoder cutting by roughly an order of magnitude.
+//
+// The exchange is one message: Bob transmits the public syndrome
+// y = Φ·k_B (CSEncode) and Alice decodes the sparse mismatch from her
+// own projection (CSISTACorrect). CSISTA runs exactly those two halves.
 func CSISTA(keyAlice, keyBob []byte, cfg CSConfig) (Outcome, error) {
 	if len(keyAlice) != len(keyBob) {
 		return Outcome{}, errors.New("reconcile: key length mismatch")
 	}
-	n := len(keyAlice)
-	if cfg.Rows <= 0 {
-		cfg.Rows = 20
+	cfg.normalize()
+	alice, err := CSISTACorrect(keyAlice, CSEncode(keyBob, cfg), cfg)
+	if err != nil {
+		return Outcome{}, err
 	}
-	iters := cfg.ISTAIterations
-	if iters <= 0 {
-		iters = 200
-	}
-	m := cfg.Rows
-	phi := sensingMatrixCached(m, n, cfg.MatrixSeed)
-	ops := newOpCounter()
+	m, n := cfg.Rows, len(keyAlice)
+	return Outcome{
+		AliceKey:     alice,
+		BobKey:       keyBob,
+		Messages:     1,
+		SyndromeBits: m * 64,
+		// Both projections, then per iteration Φx and Φᵀr plus the shrink.
+		ComputeOps:    2*m*n + istaIterations*(2*m*n+n),
+		LeakedKeyBits: m,
+		Method:        "cs-ista",
+	}, nil
+}
 
-	yB := matVecBits(phi, keyBob, m, n)
-	yA := matVecBits(phi, keyAlice, m, n)
-	ops.add(2 * m * n)
-	b := make([]float64, m)
+// CSEncode is Bob's half: the public syndrome y = Φ·k_B over the shared
+// sensing matrix derived from cfg.MatrixSeed.
+func CSEncode(keyBob []byte, cfg CSConfig) []float64 {
+	cfg.normalize()
+	n := len(keyBob)
+	phi := sensingMatrixCached(cfg.Rows, n, cfg.MatrixSeed)
+	return matVecBits(phi, keyBob, cfg.Rows, n)
+}
+
+// CSISTACorrect is Alice's half: she forms Φ·k_A − y = Φ·e and recovers
+// the sparse mismatch e ∈ {−1,0,+1}ⁿ with ISTA, flipping the recovered
+// positions in a copy of her key. A syndrome whose length does not
+// match cfg.Rows (possible with a corrupted or hostile envelope) is
+// rejected with an error, never a panic.
+func CSISTACorrect(keyAlice []byte, yBob []float64, cfg CSConfig) ([]byte, error) {
+	cfg.normalize()
+	m := cfg.Rows
+	if len(yBob) != m {
+		return nil, errors.New("reconcile: cs syndrome length mismatch")
+	}
+	n := len(keyAlice)
+	phi := sensingMatrixCached(m, n, cfg.MatrixSeed)
+	b := matVecBits(phi, keyAlice, m, n)
 	for i := range b {
-		b[i] = yA[i] - yB[i]
+		b[i] -= yBob[i]
 	}
 
 	// ISTA: x ← shrink(x + (1/L)·Φᵀ(b − Φx), λ/L). The Lipschitz constant
@@ -115,7 +98,7 @@ func CSISTA(keyAlice, keyBob []byte, cfg CSConfig) (Outcome, error) {
 	lambda := 0.2
 	resid := make([]float64, m)
 	grad := make([]float64, n)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < istaIterations; it++ {
 		for r := 0; r < m; r++ {
 			s := b[r]
 			row := phi[r*n : (r+1)*n]
@@ -131,7 +114,6 @@ func CSISTA(keyAlice, keyBob []byte, cfg CSConfig) (Outcome, error) {
 			}
 			grad[c] = s
 		}
-		ops.add(2 * m * n)
 		for c := 0; c < n; c++ {
 			v := x[c] + step*grad[c]
 			// Soft threshold.
@@ -145,25 +127,17 @@ func CSISTA(keyAlice, keyBob []byte, cfg CSConfig) (Outcome, error) {
 			}
 			x[c] = v
 		}
-		ops.add(n)
 	}
 
 	alice := make([]byte, n)
 	copy(alice, keyAlice)
 	for c := 0; c < n; c++ {
+		// e_c ≈ ±1 means Alice's bit c differs from Bob's.
 		if math.Abs(x[c]) > 0.5 {
 			alice[c] ^= 1
 		}
 	}
-	return Outcome{
-		AliceKey:      alice,
-		BobKey:        keyBob,
-		Messages:      1,
-		SyndromeBits:  m * 64,
-		ComputeOps:    ops.total,
-		LeakedKeyBits: m,
-		Method:        "cs-ista",
-	}, nil
+	return alice, nil
 }
 
 // sensingMatrix derives the shared ±1/√M Bernoulli matrix from the seed.
@@ -192,136 +166,6 @@ func matVecBits(phi []float64, bits []byte, m, n int) []float64 {
 			}
 		}
 		out[r] = s
-	}
-	return out
-}
-
-// omp runs orthogonal matching pursuit on residual b over the columns of
-// phi, returning the chosen support and least-squares coefficients.
-func omp(phi, b []float64, m, n, maxS int, ops *opCounter) (support []int, coef []float64) {
-	resid := make([]float64, m)
-	copy(resid, b)
-	chosen := make(map[int]bool, maxS)
-
-	norm := func(v []float64) float64 {
-		var s float64
-		for _, x := range v {
-			s += x * x
-		}
-		return math.Sqrt(s)
-	}
-	if norm(resid) < 1e-9 {
-		return nil, nil
-	}
-
-	for iter := 0; iter < maxS; iter++ {
-		// Column most correlated with the residual.
-		best, bestAbs := -1, 0.0
-		for j := 0; j < n; j++ {
-			if chosen[j] {
-				continue
-			}
-			var dot float64
-			for r := 0; r < m; r++ {
-				dot += phi[r*n+j] * resid[r]
-			}
-			ops.add(m)
-			if a := math.Abs(dot); a > bestAbs {
-				bestAbs, best = a, j
-			}
-		}
-		if best < 0 || bestAbs < 1e-9 {
-			break
-		}
-		chosen[best] = true
-		support = append(support, best)
-
-		// Least squares on the support: solve (AᵀA)x = Aᵀb.
-		k := len(support)
-		ata := make([]float64, k*k)
-		atb := make([]float64, k)
-		for a := 0; a < k; a++ {
-			for bcol := 0; bcol < k; bcol++ {
-				var s float64
-				for r := 0; r < m; r++ {
-					s += phi[r*n+support[a]] * phi[r*n+support[bcol]]
-				}
-				ata[a*k+bcol] = s
-			}
-			var s float64
-			for r := 0; r < m; r++ {
-				s += phi[r*n+support[a]] * b[r]
-			}
-			atb[a] = s
-		}
-		ops.add(k*k*m + k*m)
-		coef = solve(ata, atb, k)
-		ops.add(k * k * k)
-
-		// Update residual r = b − A·x.
-		for r := 0; r < m; r++ {
-			s := b[r]
-			for a := 0; a < k; a++ {
-				s -= phi[r*n+support[a]] * coef[a]
-			}
-			resid[r] = s
-		}
-		ops.add(k * m)
-		if norm(resid) < 1e-6 {
-			break
-		}
-	}
-	return support, coef
-}
-
-// solve performs Gaussian elimination with partial pivoting on the k×k
-// system a·x = b. Singular systems return the best-effort solution with
-// zeroed free variables.
-func solve(a, b []float64, k int) []float64 {
-	// Work on copies.
-	m := make([]float64, len(a))
-	copy(m, a)
-	x := make([]float64, k)
-	copy(x, b)
-	for col := 0; col < k; col++ {
-		// Pivot.
-		p := col
-		for r := col + 1; r < k; r++ {
-			if math.Abs(m[r*k+col]) > math.Abs(m[p*k+col]) {
-				p = r
-			}
-		}
-		if math.Abs(m[p*k+col]) < 1e-12 {
-			continue
-		}
-		if p != col {
-			for c := 0; c < k; c++ {
-				m[p*k+c], m[col*k+c] = m[col*k+c], m[p*k+c]
-			}
-			x[p], x[col] = x[col], x[p]
-		}
-		for r := col + 1; r < k; r++ {
-			f := m[r*k+col] / m[col*k+col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < k; c++ {
-				m[r*k+c] -= f * m[col*k+c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	out := make([]float64, k)
-	for r := k - 1; r >= 0; r-- {
-		if math.Abs(m[r*k+r]) < 1e-12 {
-			out[r] = 0
-			continue
-		}
-		s := x[r]
-		for c := r + 1; c < k; c++ {
-			s -= m[r*k+c] * out[c]
-		}
-		out[r] = s / m[r*k+r]
 	}
 	return out
 }

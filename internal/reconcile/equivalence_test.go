@@ -331,7 +331,7 @@ func TestAEFastPathByteIdentical(t *testing.T) {
 		bf := NewBloomFilter(64, []byte(fmt.Sprintf("salt-%d", trial%5)))
 		bkA, bkB := bf.Transform(ka), bf.Transform(kb)
 
-		yBob := ae.EncodeBob(bkB)
+		yBob := ae.EncodeRaw(bkB)
 		if !sameFloats(yBob, scalarEncode(ae, bkB)) {
 			t.Fatalf("trial %d: encode differs from the scalar loop", trial)
 		}
@@ -343,7 +343,7 @@ func TestAEFastPathByteIdentical(t *testing.T) {
 		if !sameFloats(ae.backproject(h), columnBackproject(ae, h)) {
 			t.Fatalf("trial %d: backprojection differs from the column-strided loop", trial)
 		}
-		if got, want := ae.Correct(bkA, yBob), scalarCorrect(ae, bkA, yBob); string(got) != string(want) {
+		if got, want := ae.correct(bkA, yBob), scalarCorrect(ae, bkA, yBob); string(got) != string(want) {
 			t.Fatalf("trial %d: corrected keys differ from the scalar oracle", trial)
 		}
 	}
@@ -353,7 +353,7 @@ func TestBloomForMatchesFresh(t *testing.T) {
 	for _, n := range []int{16, 64, 128} {
 		for s := 0; s < 5; s++ {
 			salt := []byte(fmt.Sprintf("s%d", s))
-			cached := BloomFor(n, salt)
+			cached := bloomFor(n, salt)
 			fresh := NewBloomFilter(n, salt)
 			bits := rng.New(int64(n + s)).Bits(n)
 			a := cached.Transform(bits)
@@ -365,7 +365,7 @@ func TestBloomForMatchesFresh(t *testing.T) {
 				t.Fatalf("n=%d salt=%s: cached inverse broken", n, salt)
 			}
 			// Second lookup must return the identical shared instance.
-			if BloomFor(n, salt) != cached {
+			if bloomFor(n, salt) != cached {
 				t.Fatalf("n=%d salt=%s: cache did not return the shared filter", n, salt)
 			}
 		}
@@ -379,9 +379,9 @@ func TestBloomCacheEvictionChurn(t *testing.T) {
 	bits := rng.New(3).Bits(32)
 	want := NewBloomFilter(32, []byte("churn-0")).Transform(bits)
 	for i := 0; i < 300; i++ { // capacity is 128
-		BloomFor(32, []byte(fmt.Sprintf("churn-%d", i)))
+		bloomFor(32, []byte(fmt.Sprintf("churn-%d", i)))
 	}
-	got := BloomFor(32, []byte("churn-0")).Transform(bits)
+	got := bloomFor(32, []byte("churn-0")).Transform(bits)
 	if string(got) != string(want) {
 		t.Fatal("rebuilt-after-eviction filter differs from fresh")
 	}

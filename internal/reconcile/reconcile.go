@@ -29,9 +29,3 @@ func (o Outcome) Agreement() float64 {
 
 // Exact reports whether the two keys agree on every bit.
 func (o Outcome) Exact() bool { return o.Agreement() == 1 }
-
-// opCounter tallies abstract compute operations.
-type opCounter struct{ total int }
-
-func newOpCounter() *opCounter { return &opCounter{} }
-func (c *opCounter) add(n int) { c.total += n }

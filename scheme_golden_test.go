@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -69,6 +70,108 @@ func TestDefaultSchemeGoldenKeys(t *testing.T) {
 				}
 				if k.Agreed != g.agreed[i] {
 					t.Errorf("key %d agreed = %t, want %t", i, k.Agreed, g.agreed[i])
+				}
+			}
+		})
+	}
+}
+
+// baselineGoldens pins the training-free baselines' in-process path at
+// seed 1, Urban V2I: GenerateKeys' keys, verdicts and post-reconciliation
+// agreement, and the exact metrics of GenerateKeys, Evaluate and both
+// EvaluateAttack positions (see metricsLine). lora-key and gao reconcile
+// with compressed sensing, han with interactive Cascade. The values were
+// captured while each scheme's local reconciliation was still a separate
+// implementation from its wire halves.
+var baselineGoldens = []struct {
+	scheme    string
+	hex       []string
+	agreed    []bool
+	agreement []float64
+	gen       string
+	eval      string
+	eve       [2]string // EvaluateAttack(false), EvaluateAttack(true)
+}{
+	{"lora-key",
+		[]string{"1b5563360dd2ccc20188cf09e77e20ea", "6d13b18cae32ae09536422fa6344ef23", "3223c0e1e36b83d0a67eb04aa70148f1", "e61c0071ac03264a22e954f429b094de"},
+		[]bool{true, true, true, true},
+		[]float64{1, 1, 1, 1},
+		"4 0.98046875 0.02029747040119778 1 0 1 0.40300256228800463 0.2770642615730032",
+		"4 0.98046875 0.02029747040119778 1 0 1 0.3862180819847722 0.26552493136453087",
+		[2]string{
+			"3 0.828125 0.12303137303143455 0.8541666666666666 0.11853965288271918 0 0 0",
+			"2 0.6953125 0.0703125 0.75 0.078125 0 0 0",
+		}},
+	{"gao",
+		[]string{"69f6df51308e9591897dda9c77c35aeb", "bd484a3b8fa3fb47d9ee608eb72e08a9", "20ca33c47f4cfb2bc5a045e18024cc97"},
+		[]bool{false, false, false},
+		[]float64{0.765625, 0.9375, 0.8125},
+		"3 0.84375 0.05846339666834283 0.8385416666666666 0.07254368894366729 0 0.24289496562323562 0.15237510265805465",
+		"3 0.84375 0.05846339666834283 0.8385416666666666 0.07254368894366729 0 0.24289496562323562 0.15237510265805465",
+		[2]string{
+			"3 0.6197916666666666 0.10390592366281252 0.59375 0.12170126505779086 0 0 0",
+			"3 0.5833333333333334 0.02655739329996242 0.6041666666666666 0.03210632293213009 0 0 0",
+		}},
+	{"han",
+		[]string{"304a20b87e4a3c2484c0f668a48eceea", "213d801070b8a89c5e04e752c65b5d2d", "e7d17ee58e85d27f3f602095579eda05", "b104f2aabb2aea35eba71629aa5110f6"},
+		[]bool{true, false, true, true},
+		[]float64{1, 0.96875, 1, 1},
+		"4 0.80078125 0.08655671799281382 0.9921875 0.013531646934131853 0.75 3.065206906514301 0.20515164334938232",
+		"36 0.6749131944444444 0.10512704706127392 0.9539930555555556 0.06648988243081484 0.5277777777777778 3.31604431329113 0.03319061642056636",
+		[2]string{
+			"36 0.5416666666666666 0.09936866681426516 0.8532986111111112 0.10820792130977336 0.16666666666666666 0 0",
+			"36 0.5364583333333334 0.06577776531414108 0.8524305555555556 0.08671870655376511 0.05555555555555555 0 0",
+		}},
+}
+
+// metricsLine prints every Metrics field at full precision (%v prints
+// the shortest exact float), unlike Metrics.String's rounded percentages.
+func metricsLine(m Metrics) string {
+	return fmt.Sprintf("%d %v %v %v %v %v %v %v",
+		m.Blocks, m.PreKAR, m.PreKARStd, m.PostKAR, m.PostKARStd, m.ExactRate, m.KGR, m.NetKGR)
+}
+
+// TestBaselineSchemeGoldenKeys locks the baselines' in-process key
+// generation, evaluation and eavesdropper metrics to baselineGoldens.
+func TestBaselineSchemeGoldenKeys(t *testing.T) {
+	for _, g := range baselineGoldens {
+		g := g
+		t.Run(g.scheme, func(t *testing.T) {
+			s, err := SetupWith(Options{Environment: Urban, Link: V2I, Seed: 1,
+				TrainingWindows: 120, TrainingEpochs: 6, Scheme: g.scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, m, err := s.GenerateKeys(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != len(g.hex) {
+				t.Fatalf("generated %d keys, want %d", len(keys), len(g.hex))
+			}
+			for i, k := range keys {
+				if got := hex.EncodeToString(k.Bits); got != g.hex[i] || k.Agreed != g.agreed[i] || k.Agreement != g.agreement[i] {
+					t.Errorf("key %d = %s agreed=%t agreement=%v, want %s %t %v",
+						i, got, k.Agreed, k.Agreement, g.hex[i], g.agreed[i], g.agreement[i])
+				}
+			}
+			if got := metricsLine(m); got != g.gen {
+				t.Errorf("GenerateKeys metrics %q, want %q", got, g.gen)
+			}
+			ev, err := s.Evaluate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := metricsLine(ev); got != g.eval {
+				t.Errorf("Evaluate metrics %q, want %q", got, g.eval)
+			}
+			for i, imitate := range []bool{false, true} {
+				eve, err := s.EvaluateAttack(imitate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := metricsLine(eve); got != g.eve[i] {
+					t.Errorf("EvaluateAttack(%t) metrics %q, want %q", imitate, got, g.eve[i])
 				}
 			}
 		})
