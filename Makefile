@@ -55,8 +55,8 @@ bench-compare:
 # Seed-corpus fuzz smoke: the wire formats (protocol envelope, server
 # hello and group frame codecs, TCP frame decoder), the reconcilers'
 # correction halves fed arbitrary peer code vectors (CS syndrome, AE
-# code), and the fast-inference numerics (GEMM kernels vs the naive
-# multiply).
+# code), the fast-inference numerics (GEMM kernels vs the naive
+# multiply) and the channel's cosine kernel (bit for bit vs math.Cos).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHello -fuzztime 30s ./internal/server/
@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCS$$' -fuzztime 30s ./internal/reconcile/
 	$(GO) test -run '^$$' -fuzz '^FuzzAEAliceCorrect$$' -fuzztime 30s ./internal/reconcile/
 	$(GO) test -run '^$$' -fuzz FuzzGEMM -fuzztime 30s ./internal/mathx/
+	$(GO) test -run '^$$' -fuzz '^FuzzCos$$' -fuzztime 30s ./internal/mathx/
 
 # A small vkload run over real localhost TCP: 64 vehicles through the
 # session manager with the training-free lora-key scheme. CI runs this

@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 
+	"repro/internal/mathx"
 	"repro/internal/rng"
 )
 
@@ -17,10 +18,11 @@ type Fader struct {
 	fd float64 // max Doppler shift, Hz
 	k  float64 // Rician K-factor
 
-	// Oscillator bank: per-path Doppler frequency and phases.
-	freq   []float64
-	phaseI []float64
-	phaseQ []float64
+	// Oscillator bank: per-path angular Doppler frequency 2π·f_n and
+	// phases.
+	omega  [faderPaths]float64
+	phaseI [faderPaths]float64
+	phaseQ [faderPaths]float64
 	scale  float64
 
 	losPhase   float64
@@ -34,11 +36,8 @@ const faderPaths = 16
 // NewFader builds a fader with maximum Doppler fd (Hz) and Rician factor k.
 func NewFader(fd, k float64, src *rng.Source) *Fader {
 	f := &Fader{
-		fd:     fd,
-		k:      k,
-		freq:   make([]float64, faderPaths),
-		phaseI: make([]float64, faderPaths),
-		phaseQ: make([]float64, faderPaths),
+		fd: fd,
+		k:  k,
 		// Scatter power normalized to 1/(K+1) of unit total power,
 		// split across paths and the two quadratures.
 		scale:      math.Sqrt(1 / ((k + 1) * faderPaths)),
@@ -49,22 +48,25 @@ func NewFader(fd, k float64, src *rng.Source) *Fader {
 	// Clarke angle distribution.
 	for n := 0; n < faderPaths; n++ {
 		alpha := (2*math.Pi*float64(n) + src.Uniform(0, 2*math.Pi)) / faderPaths
-		f.freq[n] = fd * math.Cos(alpha)
+		f.omega[n] = 2 * math.Pi * (fd * math.Cos(alpha))
 		f.phaseI[n] = src.Uniform(0, 2*math.Pi)
 		f.phaseQ[n] = src.Uniform(0, 2*math.Pi)
 	}
 	return f
 }
 
-// Gain returns the complex channel gain at time t seconds.
+// Gain returns the complex channel gain at time t seconds. The scatter
+// sums run through mathx.CosSum in path order, so each quadrature is
+// bit-identical to summing math.Cos(2π·f_n·t + φ_n) term by term.
 func (f *Fader) Gain(t float64) (re, im float64) {
-	for n := 0; n < faderPaths; n++ {
-		w := 2 * math.Pi * f.freq[n] * t
-		re += math.Cos(w + f.phaseI[n])
-		im += math.Cos(w + f.phaseQ[n])
+	var argI, argQ [faderPaths]float64
+	for n, omega := range f.omega {
+		w := omega * t
+		argI[n] = w + f.phaseI[n]
+		argQ[n] = w + f.phaseQ[n]
 	}
-	re *= f.scale
-	im *= f.scale
+	re = mathx.CosSum(argI[:]) * f.scale
+	im = mathx.CosSum(argQ[:]) * f.scale
 	if f.k > 0 {
 		a := math.Sqrt(f.k / (f.k + 1))
 		w := 2*math.Pi*f.losDoppler*t + f.losPhase

@@ -166,4 +166,43 @@ func TestReceiveRangeMatchesReceive(t *testing.T) {
 			t.Fatalf("[%d,%d): next OpDelay %v, want %v", r.lo, r.hi, b, a)
 		}
 	}
+
+	// Skipped reads owe their noise until the unit's next draw: after
+	// any run of partial and empty ranges, the next OpDelay and a full
+	// Receive equal those of a unit whose every reception drew in full.
+	pick := rng.New(4)
+	for trial := 0; trial < 300; trial++ {
+		always := NewTransceiver(DraginoLoRaShield, rng.New(int64(trial)))
+		owing := NewTransceiver(DraginoLoRaShield, rng.New(int64(trial)))
+		at := start
+		for step := pick.Intn(6); step > 0; step-- {
+			lo := pick.Intn(n+8) - 4
+			hi := lo + pick.Intn(n/2+8) - 4 // empty when hi ≤ lo
+			want := always.Receive(rssiAt, at, airtime).RRSSI
+			got := owing.ReceiveRange(rssiAt, at, airtime, lo, hi)
+			lo = min(max(lo, 0), n)
+			if len(got) > 0 && !sameBits(got, want[lo:lo+len(got)]) {
+				t.Fatalf("trial %d: ranged reads from %d differ from the full reception's", trial, lo)
+			}
+			at += airtime
+		}
+		if a, b := always.OpDelay(), owing.OpDelay(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("trial %d: OpDelay %v after ranged receptions, want %v", trial, b, a)
+		}
+		if a, b := always.Receive(rssiAt, at, airtime), owing.Receive(rssiAt, at, airtime); !sameBits(a.RRSSI, b.RRSSI) {
+			t.Fatalf("trial %d: full Receive after ranged receptions differs", trial)
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -34,6 +34,12 @@ type Transceiver struct {
 	gainBiasDB float64
 	src        *rng.Source
 	interval   float64
+
+	// owed counts read-noise draws that ReceiveRange skipped. They are
+	// taken, in order, before the unit's next draw (measure or OpDelay),
+	// so every draw sees the stream it would have if each read had drawn
+	// in turn.
+	owed int
 }
 
 // NewTransceiver creates a transceiver of the given device type whose
@@ -64,7 +70,15 @@ func (t *Transceiver) SetSampleInterval(s float64) {
 
 // OpDelay returns one sample of the host's RX→TX turnaround delay.
 func (t *Transceiver) OpDelay() float64 {
+	t.settle()
 	return t.prof.opDelayMeanS + t.src.Uniform(-t.prof.opDelayJitterS, t.prof.opDelayJitterS)
+}
+
+// settle takes the owed read-noise draws.
+func (t *Transceiver) settle() {
+	for ; t.owed > 0; t.owed-- {
+		t.src.Normal(0, t.prof.noiseStdDB)
+	}
 }
 
 // measure performs one RSSI register read at time ts: the chip-smoothed
@@ -76,6 +90,7 @@ func (t *Transceiver) measure(rssiAt func(t float64) float64, ts float64) float6
 		back := RSSISmoothing * float64(k) / float64(rssiSmoothingTaps)
 		sum += rssiAt(ts - back)
 	}
+	t.settle()
 	v := sum/rssiSmoothingTaps + t.gainBiasDB + t.src.Normal(0, t.prof.noiseStdDB)
 	step := t.prof.rssiStepDB
 	return math.Round(v/step) * step
@@ -130,20 +145,20 @@ func (t *Transceiver) Receive(rssiAt func(t float64) float64, start, airtime flo
 // ReceiveRange simulates receiving the same packet as Receive but
 // returns only the register reads [lo, hi) (clamped to [0, Reads]),
 // equal to Receive(...).RRSSI[lo:hi]. The channel is evaluated only
-// inside the range; every read outside it still draws its read noise,
-// in order, so the unit's random stream — and every later OpDelay —
-// advances exactly as under a full Receive.
+// inside the range. Every read outside it still owes its read noise:
+// the owed draws are taken, in order, before the unit's next draw of
+// any kind (a read or an OpDelay), so the random stream every later
+// read and OpDelay sees is exactly the one a full Receive leaves. A
+// unit that never draws again never pays them.
 func (t *Transceiver) ReceiveRange(rssiAt func(t float64) float64, start, airtime float64, lo, hi int) []float64 {
 	n := t.Reads(airtime)
 	hi = min(max(hi, 0), n)
 	lo = min(max(lo, 0), hi)
 	out := make([]float64, hi-lo)
-	for i := 0; i < n; i++ {
-		if i < lo || i >= hi {
-			t.src.Normal(0, t.prof.noiseStdDB)
-			continue
-		}
+	t.owed += lo
+	for i := lo; i < hi; i++ {
 		out[i-lo] = t.measure(rssiAt, t.readTime(start, i))
 	}
+	t.owed += n - hi
 	return out
 }

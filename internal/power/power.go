@@ -8,7 +8,10 @@
 package power
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/amplify"
@@ -44,6 +47,9 @@ func Profile(sys *core.System, smp trace.Sample, iters int) ([]Measurement, erro
 	if iters <= 0 {
 		iters = 20
 	}
+	if len(smp.Alice) == 0 {
+		return nil, errors.New("power: empty Alice window")
+	}
 	salt := []byte("power-profile")
 
 	timeIt := func(f func()) time.Duration {
@@ -63,9 +69,20 @@ func Profile(sys *core.System, smp trace.Sample, iters int) ([]Measurement, erro
 		_, _, _ = sys.BobQuantize(smp.Bob)
 	})
 
-	// Alice: prediction + quantization network and selection.
+	// Alice: prediction + quantization network and selection. Each timed
+	// call gets its own window (her first value moved by a few ulps), so
+	// every call misses the predictor memo and runs the forward, as in a
+	// fresh session; repeating one window would time memo hits.
+	windows := make([][]float64, iters)
+	for i := range windows {
+		w := slices.Clone(smp.Alice)
+		w[0] = math.Float64frombits(math.Float64bits(w[0]) + uint64(i) + 1)
+		windows[i] = w
+	}
+	next := 0
 	tAlicePred := timeIt(func() {
-		_, _ = sys.AliceSelect(smp.Alice, bobKept)
+		_, _ = sys.AliceSelect(windows[next], bobKept)
+		next++
 	})
 	aliceBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
 	bobFinal := core.SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)

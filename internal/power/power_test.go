@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -23,9 +24,16 @@ func TestProfileStructure(t *testing.T) {
 	if _, err := sys.Train(ds, 3, src.Derive("t")); err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	sys.SetRecorder(reg)
 	ms, err := Profile(sys, ds.Samples[0], 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Alice's row times the forward itself: each of the 5 timed calls
+	// and the final untimed one miss the predictor memo.
+	if n := reg.Snapshot().Histograms[obs.NNForwardSeconds].Count; n != 6 {
+		t.Errorf("Profile ran %d predictor forwards, want 6 (one per call, no memo hits)", n)
 	}
 	if len(ms) != 6 {
 		t.Fatalf("want 6 measurements, got %d", len(ms))

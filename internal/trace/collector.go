@@ -111,12 +111,12 @@ type Features struct {
 // Features advances the timeline by n rounds exactly as Run does, but
 // synthesizes only the register reads the arRSSI edge windows of the
 // receivers in rx consume and returns their features. An unselected
-// reception is an empty range: it evaluates no channel but still draws
-// every read's noise. Every transceiver and channel component owns an
-// independent random stream, and a ranged receive advances its
-// transceiver's stream as a full one does, so the features are
-// bit-identical to Run's and the collector's state afterwards is the
-// same, whatever rx selects.
+// reception is an empty range: it evaluates no channel, and every read's
+// noise is owed until its transceiver next draws. Every transceiver and
+// channel component owns an independent random stream, and a ranged
+// receive leaves its transceiver's next draw exactly where a full one
+// does, so the features are bit-identical to Run's and the collector
+// continues afterwards as it would after Run, whatever rx selects.
 func (c *Collector) Features(n int, cfg ExtractConfig, rx Receivers) Features {
 	cfg = cfg.normalize()
 	side := func(who Receivers) [][]float64 {
