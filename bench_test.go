@@ -20,7 +20,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/lora"
 	"repro/internal/nn"
-	"repro/internal/pipeline"
 	"repro/internal/protocol"
 	"repro/internal/reconcile"
 	"repro/internal/rng"
@@ -108,7 +107,7 @@ func BenchmarkPredictorForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ForwardBatched(seq)
+		p.Forward(seq)
 	}
 }
 
@@ -329,7 +328,7 @@ func BenchmarkProtocolRoundLossy(b *testing.B) {
 }
 
 // BenchmarkScheme runs every registered scheme — Vehicle-Key and the
-// three baselines — through the same stream evaluation over one shared
+// three baselines — through core.System.EvaluateStream over one shared
 // collected trace, so per-scheme quantize+reconcile cost is directly
 // comparable. CI's bench-smoke job tracks the BenchmarkScheme/* rows
 // across PRs as the cross-scheme perf trajectory.
@@ -349,11 +348,11 @@ func BenchmarkScheme(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sr, err := pipeline.EvaluateStream(sys.Stages, aliceS, bobS, dur)
+				m, err := sys.EvaluateStream(aliceS, bobS, dur)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if sr.Blocks == 0 {
+				if m.Blocks == 0 {
 					b.Fatal("stream evaluation produced no blocks")
 				}
 			}
@@ -365,7 +364,7 @@ func BenchmarkScheme(b *testing.B) {
 // trained Vehicle-Key system. Two sub-benchmarks:
 //
 //	forward — the raw batched forward, memo bypassed.
-//	predict — the System-level path Alice's protocol rounds use,
+//	predict — Alice's protocol path, AlicePrecompute then Select,
 //	          cycling a fixed window set so the fingerprint memo
 //	          serves warm calls.
 func BenchmarkPredict(b *testing.B) {
@@ -399,8 +398,12 @@ func BenchmarkPredict(b *testing.B) {
 	b.Run("predict", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if bits := sys.AliceBitsAt(wins[i%len(wins)], kept); bits == nil {
-				b.Fatal("AliceBitsAt failed")
+			r, err := sys.AlicePrecompute(wins[i%len(wins)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, ok := r.Select(kept); !ok {
+				b.Fatal("Select rejected the announced indices")
 			}
 		}
 	})

@@ -13,33 +13,17 @@
 //   - Replayer: an attacker who re-injects captured messages; sequence
 //     tracking must reject them.
 //
-// The passive attackers are thin, documented wrappers over
-// core.System.EvaluateEve; the active ones operate on protocol messages
-// through a tampering transport.
+// The passive attackers are measured by core.System.EvaluateEve (its
+// imitate flag picks the position); the active ones operate on protocol
+// messages through a tampering transport.
 package attack
 
 import (
 	"encoding/binary"
 	"hash/crc32"
 
-	"repro/internal/core"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
-
-// Passive is a passive adversary bound to a trained system.
-type Passive struct {
-	Sys *core.System
-	// Imitate selects the trailing-car position; false means parked near
-	// the infrastructure.
-	Imitate bool
-}
-
-// Agreement evaluates the attacker's best achievable key agreement
-// against Bob across the dataset, including reconciler exploitation.
-func (p Passive) Agreement(ds *trace.Dataset, salt []byte) (core.Metrics, error) {
-	return p.Sys.EvaluateEve(ds, p.Imitate, salt)
-}
 
 // KeyProbability bounds the attacker's chance of reproducing one full
 // key of bits length given her measured per-bit agreement.

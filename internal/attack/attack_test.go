@@ -38,7 +38,7 @@ func TestPassiveAttackers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, imitate := range []bool{false, true} {
-		m, err := Passive{Sys: sys, Imitate: imitate}.Agreement(test, []byte("s"))
+		m, err := sys.EvaluateEve(test, imitate, []byte("s"))
 		if err != nil {
 			t.Fatal(err)
 		}

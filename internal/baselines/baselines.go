@@ -19,19 +19,14 @@
 // registered with core's scheme registry (importing this package,
 // possibly blank, makes "lora-key", "han" and "gao" constructible via
 // core.NewScheme), so the protocol, experiment and NIST layers drive
-// them through exactly the code path Vehicle-Key runs. The LoRaKey/
-// Han/Gao functions below keep the historical stream-evaluation API
-// used by the Fig. 12/13 regeneration.
+// them through exactly the code path Vehicle-Key runs.
 package baselines
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/quantize"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // blockSize is the reconciliation unit all baselines use, matching the
@@ -94,7 +89,7 @@ func multiBitHead(qc quantize.MultiBitConfig) func([]float64) ([]byte, error) {
 // a vehicular channel the two kept-index sets diverge, the order-aligned
 // bit streams lose synchronization, and agreement collapses toward
 // chance — this is precisely why the paper measures LoRa-Key lowest in
-// Fig. 12. The stream-evaluation path preserves that misalignment; the
+// Fig. 12. core.System.EvaluateStream preserves that misalignment; the
 // unified protocol path necessarily adds the index exchange (it cannot
 // run unaligned), which is marked by IndexExchange.
 func loRaKeyStages() pipeline.Stages {
@@ -152,77 +147,4 @@ func init() {
 	core.RegisterScheme("gao", func(_ core.Config, _ *rng.Source) (pipeline.Stages, error) {
 		return gaoStages(), nil
 	})
-}
-
-// Result aggregates one baseline evaluation, mirroring core.Metrics.
-type Result struct {
-	Name       string
-	Blocks     int
-	PreKAR     float64
-	PreKARStd  float64
-	PostKAR    float64
-	PostKARStd float64
-	KGR        float64 // agreed bits per probing second (gross)
-	NetKGR     float64 // agreed bits minus publicly leaked bits, per second
-}
-
-// String implements fmt.Stringer.
-func (r Result) String() string {
-	return fmt.Sprintf("%s: blocks=%d preKAR=%.2f%%±%.2f postKAR=%.2f%%±%.2f KGR=%.3f bit/s net=%.3f bit/s",
-		r.Name, r.Blocks, 100*r.PreKAR, 100*r.PreKARStd, 100*r.PostKAR, 100*r.PostKARStd, r.KGR, r.NetKGR)
-}
-
-// fromStream attaches a display name to a stream evaluation.
-func fromStream(name string, sr pipeline.StreamResult) Result {
-	return Result{
-		Name:       name,
-		Blocks:     sr.Blocks,
-		PreKAR:     sr.PreKAR,
-		PreKARStd:  sr.PreKARStd,
-		PostKAR:    sr.PostKAR,
-		PostKARStd: sr.PostKARStd,
-		KGR:        sr.KGR,
-		NetKGR:     sr.NetKGR,
-	}
-}
-
-// totalDuration sums the probing time of the exchanges.
-func totalDuration(ex []trace.Exchange) float64 {
-	var t float64
-	for _, e := range ex {
-		t += e.Duration
-	}
-	return t
-}
-
-// LoRaKey evaluates the LoRa-Key scheme over the exchanges.
-func LoRaKey(ex []trace.Exchange) (Result, error) {
-	alice, bob := trace.PRSSI(ex)
-	sr, err := pipeline.EvaluateStream(loRaKeyStages(), alice, bob, totalDuration(ex))
-	if err != nil {
-		return Result{}, err
-	}
-	return fromStream("LoRa-Key", sr), nil
-}
-
-// Han evaluates the Han et al. scheme over the exchanges: plain Jana
-// multi-bit quantization (no guard censoring) with Cascade reconciliation
-// at the paper's parameters (group length 3, 4 iterations).
-func Han(ex []trace.Exchange, src *rng.Source) (Result, error) {
-	alice, bob := trace.PRSSI(ex)
-	sr, err := pipeline.EvaluateStream(hanStages(src), alice, bob, totalDuration(ex))
-	if err != nil {
-		return Result{}, err
-	}
-	return fromStream("Han et al.", sr), nil
-}
-
-// Gao evaluates the Gao et al. model-based scheme over the exchanges.
-func Gao(ex []trace.Exchange) (Result, error) {
-	alice, bob := trace.PRSSI(ex)
-	sr, err := pipeline.EvaluateStream(gaoStages(), alice, bob, totalDuration(ex))
-	if err != nil {
-		return Result{}, err
-	}
-	return fromStream("Gao et al.", sr), nil
 }

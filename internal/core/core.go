@@ -29,6 +29,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/mathx"
 	"repro/internal/memo"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -183,8 +184,7 @@ type System struct {
 }
 
 // predEntry is one memoized predictor forward. Both slices are treated
-// as read-only by every consumer (Round.Select and AliceBitsAt copy
-// out of them).
+// as read-only by every consumer (Round.Select copies out of them).
 type predEntry struct {
 	yHat []float64
 	bits []byte
@@ -223,7 +223,7 @@ type nnPredictor struct {
 func (p *nnPredictor) Name() string { return "bilstm" }
 
 func (p *nnPredictor) Predict(aliceSeq []float64) ([]float64, []byte, error) {
-	yHat, zHat := p.net.ForwardBatched(aliceSeq)
+	yHat, zHat := p.net.Forward(aliceSeq)
 	return yHat, nn.Bits(zHat), nil
 }
 
@@ -368,7 +368,7 @@ func (s *System) timedPredict(aliceSeq []float64) ([]float64, []byte, error) {
 // predict serves the predictor forward for aliceSeq, consulting the
 // per-System memo when one exists. Returned slices are the cache's and
 // must be treated as read-only; every current consumer only reads or
-// copies out of them (pipeline.NewRound and AliceBitsAt included).
+// copies out of them (pipeline.NewRound included).
 func (s *System) predict(aliceSeq []float64) ([]float64, []byte, error) {
 	if s.pmemo == nil {
 		return s.timedPredict(aliceSeq)
@@ -385,21 +385,6 @@ func (s *System) predict(aliceSeq []float64) ([]float64, []byte, error) {
 		s.pmemo.Put(key, predEntry{yHat: yHat, bits: all})
 	}
 	return yHat, all, err
-}
-
-// AliceBitsAt runs Alice's predictor over her sequence and returns her
-// bit groups at the given sample indices.
-func (s *System) AliceBitsAt(aliceSeq []float64, kept []int) []byte {
-	_, all, err := s.predict(aliceSeq)
-	if err != nil {
-		return nil
-	}
-	b := s.SampleBits()
-	out := make([]byte, 0, len(kept)*b)
-	for _, idx := range kept {
-		out = append(out, all[idx*b:(idx+1)*b]...)
-	}
-	return out
 }
 
 // AlicePrecompute runs Alice's predictor and prediction-side guard rule
@@ -478,12 +463,6 @@ func (s *System) Amplify(bits, salt []byte) ([]byte, error) {
 }
 
 var _ pipeline.Scheme = (*System)(nil)
-
-// SelectAt picks the bit groups of a quantizer result at the given final
-// indices (Bob's step after Alice's announcement).
-func SelectAt(bits []byte, kept []int, final []int, bitsPerSample int) []byte {
-	return pipeline.SelectAt(bits, kept, final, bitsPerSample)
-}
 
 // TrainSamples converts a dataset into predictor training samples: input
 // Alice's sequence; targets Bob's sequence plus Bob's guard-banded bits,
@@ -616,7 +595,7 @@ func (ks *KeyStream) Push(smp trace.Sample) ([]KeyResult, error) {
 		return nil, err
 	}
 	aliceBits, finalKept := ks.sys.AliceSelect(smp.Alice, bobKept)
-	bobFinal := SelectAt(bobBits, bobKept, finalKept, ks.sys.SampleBits())
+	bobFinal := pipeline.SelectAt(bobBits, bobKept, finalKept, ks.sys.SampleBits())
 	ks.bobBuf = append(ks.bobBuf, bobFinal...)
 	ks.aliceBuf = append(ks.aliceBuf, aliceBits...)
 	ks.duration += smp.Duration
@@ -643,20 +622,14 @@ func (ks *KeyStream) Push(smp trace.Sample) ([]KeyResult, error) {
 func (ks *KeyStream) emit(aliceBits, bobBits []byte) (KeyResult, error) {
 	ks.emitted++
 	salt := append(append([]byte{}, ks.salt...), byte(ks.emitted), byte(ks.emitted>>8))
-	res := KeyResult{
-		BitsGenerated: len(bobBits),
-		Duration:      ks.duration,
-		PreAgreement:  Agreement(aliceBits, bobBits),
-	}
+	duration := ks.duration
 	ks.duration = 0
-
 	out, err := ks.sys.reconcileBlock(aliceBits, bobBits, salt)
 	if err != nil {
 		return KeyResult{}, fmt.Errorf("core: reconcile: %w", err)
 	}
-	res.PostAgreement = out.Agreement()
-	res.Exact = out.Exact()
-	res.LeakedBits = out.LeakedKeyBits
+	res := blockResult(aliceBits, bobBits, out)
+	res.Duration = duration
 	if res.AliceKey, err = ks.sys.Amplify(out.AliceKey, salt); err != nil {
 		return KeyResult{}, err
 	}
@@ -666,19 +639,16 @@ func (ks *KeyStream) emit(aliceBits, bobBits []byte) (KeyResult, error) {
 	return res, nil
 }
 
-// Agreement is the fraction of positions where two equal-length bit
-// strings agree; empty or mismatched inputs agree nowhere.
-func Agreement(a, b []byte) float64 {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0
+// blockResult records one reconciled block's agreement and leakage, the
+// per-block record both evaluators fold with Aggregate.
+func blockResult(aliceBits, bobBits []byte, out reconcile.Outcome) KeyResult {
+	return KeyResult{
+		PreAgreement:  mathx.Agreement(aliceBits, bobBits),
+		PostAgreement: out.Agreement(),
+		Exact:         out.Exact(),
+		BitsGenerated: len(bobBits),
+		LeakedBits:    out.LeakedKeyBits,
 	}
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	return float64(same) / float64(len(a))
 }
 
 // Save serializes the trained stages (predictor, then reconciler; only

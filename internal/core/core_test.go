@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/mathx"
+	"repro/internal/pipeline"
 	"repro/internal/quantize"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -68,8 +71,8 @@ func TestPredictionImprovesAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		aliceBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
-		bobFinal := SelectAt(bobBits, bobKept, finalKept, b)
-		withA += Agreement(aliceBits, bobFinal)
+		bobFinal := pipeline.SelectAt(bobBits, bobKept, finalKept, b)
+		withA += mathx.Agreement(aliceBits, bobFinal)
 		withK += float64(len(finalKept)) / float64(sys.Cfg.SeqLen)
 
 		res, err := quantize.MultiBit(smp.Alice, sys.Cfg.quantConfig(sys.Cfg.PredGuardRatio))
@@ -77,9 +80,9 @@ func TestPredictionImprovesAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		rawKept := intersect(res.Kept, bobKept)
-		rawBits := SelectAt(res.Bits, res.Kept, rawKept, b)
-		bobRaw := SelectAt(bobBits, bobKept, rawKept, b)
-		woA += Agreement(rawBits, bobRaw)
+		rawBits := pipeline.SelectAt(res.Bits, res.Kept, rawKept, b)
+		bobRaw := pipeline.SelectAt(bobBits, bobKept, rawKept, b)
+		woA += mathx.Agreement(rawBits, bobRaw)
 		woK += float64(len(rawKept)) / float64(sys.Cfg.SeqLen)
 	}
 	n := float64(len(test.Samples))
@@ -152,9 +155,12 @@ func TestSystemSaveLoad(t *testing.T) {
 		seq[i] = src.Normal(0, 1)
 	}
 	kept := []int{0, 3, 5, 8, 13, 21, 30}
-	a := sys.AliceBitsAt(seq, kept)
-	b := sys2.AliceBitsAt(seq, kept)
-	if !bytes.Equal(a, b) {
+	a, aKept := sys.AliceSelect(seq, kept)
+	b, bKept := sys2.AliceSelect(seq, kept)
+	if len(aKept) == 0 {
+		t.Fatal("source kept no announced index")
+	}
+	if !bytes.Equal(a, b) || !slices.Equal(aKept, bKept) {
 		t.Fatal("loaded system must reproduce predictions")
 	}
 }

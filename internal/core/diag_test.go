@@ -6,19 +6,21 @@ import (
 	"repro/internal/channel"
 	"repro/internal/mathx"
 	"repro/internal/nn"
+	"repro/internal/pipeline"
 	"repro/internal/quantize"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
-// keptAgreement measures Alice/Bob agreement over Bob's kept bits for one
-// sample.
+// keptAgreement measures Alice/Bob agreement over the indices both keep
+// for one sample.
 func keptAgreement(sys *System, alice, bob []float64) float64 {
 	bits, kept, err := sys.BobQuantize(bob)
 	if err != nil || len(kept) == 0 {
 		return 0
 	}
-	return Agreement(sys.AliceBitsAt(alice, kept), bits)
+	aliceBits, final := sys.AliceSelect(alice, kept)
+	return mathx.Agreement(aliceBits, pipeline.SelectAt(bits, kept, final, sys.SampleBits()))
 }
 
 // TestDiagTraining is a tuning harness: it reports train/test kept-bit
@@ -50,6 +52,9 @@ func TestDiagTraining(t *testing.T) {
 	}
 	for e := 0; e < 60; e++ {
 		loss := tr.Epoch(samples)
+		// The trainer moves the weights behind the System's back, so
+		// its cached forwards are stale.
+		sys.pmemo.Purge()
 		if (e+1)%10 == 0 {
 			t.Logf("epoch %d loss %.4f trainAcc %.4f testAcc %.4f", e+1, loss, acc(train), acc(test))
 		}
@@ -63,7 +68,7 @@ func TestDiagTraining(t *testing.T) {
 		ra, _ := quantize.MultiBit(smp.Alice, qc)
 		rb, _ := quantize.MultiBit(smp.Bob, qc)
 		ba, bb := quantize.IntersectKept(ra, rb, sys.Cfg.BitsPerSample)
-		raw += Agreement(ba, bb)
+		raw += mathx.Agreement(ba, bb)
 	}
 	t.Logf("no-prediction kept-intersection agreement: %.4f", raw/float64(len(test.Samples)))
 }

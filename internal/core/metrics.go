@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mathx"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -75,16 +76,46 @@ func (s *System) evaluate(samples []trace.Sample, salt []byte, totalTime float64
 		}
 		results = append(results, rs...)
 	}
-	return aggregate(results, totalTime), nil
+	return Aggregate(results, totalTime), nil
+}
+
+// EvaluateStream runs the scheme's quantizer and reconciler over a pair
+// of full measurement streams, the Fig. 12/13 figure path: both sides
+// quantize with the measurement-side rule, the order-aligned bit
+// streams are cut into reconciliation blocks, and each block is
+// reconciled locally and folded by the same aggregation as Evaluate.
+// It deliberately performs no kept-index alignment, preserving each
+// baseline paper's own (mis)alignment behavior on a time-varying
+// channel, and no amplification. totalTime is the probing time that
+// produced the streams.
+func (s *System) EvaluateStream(alice, bob []float64, totalTime float64) (Metrics, error) {
+	st := s.Stages
+	ba, _, err := st.Quantizer.Quantize(alice)
+	if err != nil {
+		return Metrics{}, &pipeline.StageError{Scheme: st.Scheme, Stage: "quantizer", Err: err}
+	}
+	bb, _, err := st.Quantizer.Quantize(bob)
+	if err != nil {
+		return Metrics{}, &pipeline.StageError{Scheme: st.Scheme, Stage: "quantizer", Err: err}
+	}
+	block := st.Reconciler.BlockBits()
+	n := min(len(ba), len(bb))
+	var results []KeyResult
+	for lo := 0; lo+block <= n; lo += block {
+		a, b := ba[lo:lo+block], bb[lo:lo+block]
+		out, err := st.Reconciler.Reconcile(a, b, nil)
+		if err != nil {
+			return Metrics{}, &pipeline.StageError{Scheme: st.Scheme, Stage: "reconciler", Err: err}
+		}
+		results = append(results, blockResult(a, b, out))
+	}
+	return Aggregate(results, totalTime), nil
 }
 
 // Aggregate folds a set of key results into Metrics; totalTime (seconds
-// of probing) enables the KGR fields when positive.
+// of probing) enables the KGR fields when positive. It is the only place
+// per-block outcomes become Metrics.
 func Aggregate(results []KeyResult, totalTime float64) Metrics {
-	return aggregate(results, totalTime)
-}
-
-func aggregate(results []KeyResult, totalTime float64) Metrics {
 	var m Metrics
 	m.Blocks = len(results)
 	if m.Blocks == 0 {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/amplify"
 	"repro/internal/channel"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func TestKeptBitsBalanced(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, finalKept := sys.AliceSelect(smp.Alice, bobKept)
-		final := SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)
+		final := pipeline.SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)
 		for _, b := range final {
 			ones += float64(b)
 			total++
@@ -53,7 +54,7 @@ func TestKeptBitEntropy(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, finalKept := sys.AliceSelect(smp.Alice, bobKept)
-		stream = append(stream, SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)...)
+		stream = append(stream, pipeline.SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)...)
 	}
 	h := amplify.EstimateEntropy(stream)
 	t.Logf("pre-amplification entropy: %.4f bit/bit over %d bits", h, len(stream))

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/mathx"
+	"repro/internal/pipeline"
 	"repro/internal/quantize"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -33,18 +35,18 @@ func TestBitSourceVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		yHat, _ := sys.predictorNet().ForwardBatched(smp.Alice)
+		yHat, _ := sys.predictorNet().Forward(smp.Alice)
 		headBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
-		bobFinal := SelectAt(bobBits, bobKept, finalKept, b)
-		headAgree += Agreement(headBits, bobFinal)
+		bobFinal := pipeline.SelectAt(bobBits, bobKept, finalKept, b)
+		headAgree += mathx.Agreement(headBits, bobFinal)
 		// Variant: quantize yHat (no guard) and select the same indices.
 		qc := sys.Cfg.quantConfig(0)
 		resY, err := quantize.MultiBit(yHat, qc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqBits := SelectAt(resY.Bits, resY.Kept, finalKept, b)
-		seqAgree += Agreement(seqBits, bobFinal)
+		seqBits := pipeline.SelectAt(resY.Bits, resY.Kept, finalKept, b)
+		seqAgree += mathx.Agreement(seqBits, bobFinal)
 		keep += float64(len(finalKept)) / float64(sys.Cfg.SeqLen)
 	}
 	n := float64(len(test.Samples))
@@ -81,7 +83,7 @@ func TestPredictionQuality(t *testing.T) {
 		}
 		var predCorr, rawCorr, n float64
 		for _, smp := range test.Samples {
-			yHat, _ := sys.predictorNet().ForwardBatched(smp.Alice)
+			yHat, _ := sys.predictorNet().Forward(smp.Alice)
 			pc, _ := corrOf(yHat, smp.Bob)
 			rc, _ := corrOf(smp.Alice, smp.Bob)
 			predCorr += pc

@@ -147,15 +147,46 @@ func RunAll(ids []string, cfg RunConfig) ([]Report, error) {
 // hit or a miss.
 // ---------------------------------------------------------------------
 
-type trainedEntry struct {
-	once  sync.Once
-	err   error
-	sys   *core.System
-	train *trace.Dataset
-	test  *trace.Dataset
+// onceCache computes each key's value once and serves it, error
+// included, to every later caller; concurrent callers of one key wait
+// for the single computation.
+type onceCache[V any] struct {
+	m sync.Map // string key -> *onceEntry[V]
 }
 
-var trainedCache sync.Map // string key -> *trainedEntry
+type onceEntry[V any] struct {
+	once sync.Once
+	val  V
+	err  error
+}
+
+func (c *onceCache[V]) get(key string, compute func() (V, error)) (V, error) {
+	v, _ := c.m.LoadOrStore(key, &onceEntry[V]{})
+	e := v.(*onceEntry[V])
+	e.once.Do(func() { e.val, e.err = compute() })
+	return e.val, e.err
+}
+
+func (c *onceCache[V]) reset() {
+	c.m.Range(func(k, _ any) bool { c.m.Delete(k); return true })
+}
+
+func (c *onceCache[V]) keys() []string {
+	var out []string
+	c.m.Range(func(k, _ any) bool { out = append(out, k.(string)); return true })
+	sort.Strings(out)
+	return out
+}
+
+// trained is one cached training: the original system (only ever
+// cloned) and its shared read-only splits.
+type trained struct {
+	sys         *core.System
+	train, test *trace.Dataset
+}
+
+// trainedCache is keyed by fingerprint alone.
+var trainedCache onceCache[trained]
 
 // fingerprint canonically identifies a training problem. It also seeds
 // every experiment's dataset and training streams, so its rendering is
@@ -177,26 +208,21 @@ func fingerprint(sc trace.Scenario, cfg RunConfig, sysCfg core.Config) string {
 // and must be treated as read-only.
 func trainFor(sc trace.Scenario, cfg RunConfig, sysCfg core.Config) (*core.System, *trace.Dataset, *trace.Dataset, error) {
 	fp := fingerprint(sc, cfg, sysCfg)
-	v, _ := trainedCache.LoadOrStore(fp, &trainedEntry{})
-	e := v.(*trainedEntry)
-	e.once.Do(func() {
+	e, err := trainedCache.get(fp, func() (trained, error) {
 		ds, err := trace.Build(sc, rng.SubSeed(cfg.Seed, "train-ds/"+fp, 0), cfg.Samples, sysCfg.SeqLen, trace.DefaultExtract())
 		if err != nil {
-			e.err = err
-			return
+			return trained{}, err
 		}
 		src := rng.Stream(cfg.Seed, "train/"+fp, 0)
 		train, _, test := ds.Split(0.75, 0.05, src.Derive("split"))
 		sys := core.New(sysCfg, src.Derive("sys"))
 		if _, err := sys.Train(train, cfg.Epochs, src.Derive("train")); err != nil {
-			e.err = err
-			return
+			return trained{}, err
 		}
-		e.sys = sys
-		e.train, e.test = train, test
+		return trained{sys: sys, train: train, test: test}, nil
 	})
-	if e.err != nil {
-		return nil, nil, nil, e.err
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	// Clone serializes the trained stages and loads them into a fresh
 	// System (verified equivalent to an explicit Save/Load round-trip),
@@ -213,40 +239,28 @@ func trainFor(sc trace.Scenario, cfg RunConfig, sysCfg core.Config) (*core.Syste
 // share (fig12/fig13's comparison sweep, tab3/fig17's power profile).
 // Keys include Parallelism so that the equivalence tests comparing
 // worker counts never serve one count's result to the other.
-var memoCache sync.Map // string key -> *memoEntry
-
-type memoEntry struct {
-	once sync.Once
-	val  any
-	err  error
-}
+var memoCache onceCache[any]
 
 func memo[T any](key string, cfg RunConfig, compute func() (T, error)) (T, error) {
 	// cacheKey, not %+v: the config's Obs recorder is an interface whose
 	// rendering would make equal configs miss (and unequal ones collide).
-	full := fmt.Sprintf("%s|%s", key, cfg.cacheKey())
-	v, _ := memoCache.LoadOrStore(full, &memoEntry{})
-	e := v.(*memoEntry)
-	e.once.Do(func() { e.val, e.err = compute() })
-	if e.err != nil {
+	v, err := memoCache.get(fmt.Sprintf("%s|%s", key, cfg.cacheKey()), func() (any, error) {
+		return compute()
+	})
+	if err != nil {
 		var zero T
-		return zero, e.err
+		return zero, err
 	}
-	return e.val.(T), nil
+	return v.(T), nil
 }
 
 // resetCaches drops every cached trained system and memoized
 // sub-computation. Tests use it to prove that reports do not depend on
 // cache warmth.
 func resetCaches() {
-	trainedCache.Range(func(k, _ any) bool { trainedCache.Delete(k); return true })
-	memoCache.Range(func(k, _ any) bool { memoCache.Delete(k); return true })
+	trainedCache.reset()
+	memoCache.reset()
 }
 
-// sortedKeys is a debugging helper for cache inspection in tests.
-func cachedTrainKeys() []string {
-	var out []string
-	trainedCache.Range(func(k, _ any) bool { out = append(out, k.(string)); return true })
-	sort.Strings(out)
-	return out
-}
+// cachedTrainKeys lists the trained-system cache's keys, for tests.
+func cachedTrainKeys() []string { return trainedCache.keys() }

@@ -26,9 +26,9 @@ func profileOnce(cfg RunConfig) ([]power.Measurement, error) {
 	return memo("profile", cfg, func() ([]power.Measurement, error) {
 		sc := trace.NewScenario(channel.Urban, channel.V2I)
 		sysCfg := core.DefaultConfig()
-		// The paper's on-device model: 128 BiLSTM units. Profiling uses the
-		// full width even when training used less — weights are sized at
-		// construction, and timing depends only on architecture.
+		// The default configuration every figure trains: a BiLSTM of 16
+		// units per direction (sysCfg.Hidden), not the paper's 128.
+		// Timing depends only on that architecture.
 		sys, _, test, err := trainFor(sc, cfg, sysCfg)
 		if err != nil {
 			return nil, err

@@ -33,6 +33,7 @@ func SchemesExp(cfg RunConfig) (Report, error) {
 	sc := trace.NewScenario(channel.Urban, channel.V2I)
 	rows, err := parMap(cfg, "schemes", len(names), func(i int, src *rng.Source) ([]string, error) {
 		name := names[i]
+		var m core.Metrics
 		if name == core.DefaultScheme {
 			// Vehicle-Key needs its trained predictor; the baselines are
 			// training-free and run straight off the probing series.
@@ -40,25 +41,22 @@ func SchemesExp(cfg RunConfig) (Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := sys.Evaluate(test, []byte("schemes"))
-			if err != nil {
+			if m, err = sys.Evaluate(test, []byte("schemes")); err != nil {
 				return nil, err
 			}
-			return []string{name, f("%d", m.Blocks), pct(m.PreKAR), pct(m.PostKAR),
-				f("%.3f", m.KGR), f("%.3f", m.NetKGR)}, nil
+		} else {
+			exch := cfg.Samples * 4
+			if exch > 1200 {
+				exch = 1200
+			}
+			col := trace.NewCollector(sc, src.Int63())
+			var err error
+			if m, err = evalBaseline(name, src.Derive(name), col.Run(exch)); err != nil {
+				return nil, err
+			}
 		}
-		exch := cfg.Samples * 4
-		if exch > 1200 {
-			exch = 1200
-		}
-		col := trace.NewCollector(sc, src.Int63())
-		ex := col.Run(exch)
-		sr, err := evalBaseline(name, src.Derive(name), ex)
-		if err != nil {
-			return nil, err
-		}
-		return []string{name, f("%d", sr.Blocks), pct(sr.PreKAR), pct(sr.PostKAR),
-			f("%.3f", sr.KGR), f("%.3f", sr.NetKGR)}, nil
+		return []string{name, f("%d", m.Blocks), pct(m.PreKAR), pct(m.PostKAR),
+			f("%.3f", m.KGR), f("%.3f", m.NetKGR)}, nil
 	})
 	if err != nil {
 		return Report{}, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/lora"
+	"repro/internal/mathx"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -67,7 +68,7 @@ func ablatePrediction(sys *core.System, test *trace.Dataset) (withA, withK, woA,
 		}
 		aliceBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
 		bobFinal := pipeline.SelectAt(bobBits, bobKept, finalKept, b)
-		withA += core.Agreement(aliceBits, bobFinal)
+		withA += mathx.Agreement(aliceBits, bobFinal)
 		withK += float64(len(finalKept)) / float64(sys.Cfg.SeqLen)
 
 		// The "without prediction" arm feeds Alice's raw sequence through
@@ -79,7 +80,7 @@ func ablatePrediction(sys *core.System, test *trace.Dataset) (withA, withK, woA,
 		rawKept := intersectInts(keptAll, bobKept)
 		rawBits := pipeline.SelectAt(rawAll, keptAll, rawKept, b)
 		bobRaw := pipeline.SelectAt(bobBits, bobKept, rawKept, b)
-		woA += core.Agreement(rawBits, bobRaw)
+		woA += mathx.Agreement(rawBits, bobRaw)
 		woK += float64(len(rawKept)) / float64(sys.Cfg.SeqLen)
 	}
 	return withA / n, withK / n, woA / n, woK / n, nil
@@ -242,23 +243,23 @@ func Table1(cfg RunConfig) (Report, error) {
 // comparisonCell is one scenario's slice of the fig12/fig13 sweep.
 type comparisonCell struct {
 	vk   core.Metrics
-	base []pipeline.StreamResult
+	base []core.Metrics
 }
 
 // evalBaseline builds the named scheme from core's registry and streams
 // the pRSSI series through its quantizer/reconciler slots — the unified
 // path every baseline shares with Vehicle-Key's own stages.
-func evalBaseline(name string, src *rng.Source, ex []trace.Exchange) (pipeline.StreamResult, error) {
+func evalBaseline(name string, src *rng.Source, ex []trace.Exchange) (core.Metrics, error) {
 	sys, err := core.NewScheme(name, core.DefaultConfig(), src)
 	if err != nil {
-		return pipeline.StreamResult{}, err
+		return core.Metrics{}, err
 	}
 	alice, bob := trace.PRSSI(ex)
 	var total float64
 	for _, e := range ex {
 		total += e.Duration
 	}
-	return pipeline.EvaluateStream(sys.Stages, alice, bob, total)
+	return sys.EvaluateStream(alice, bob, total)
 }
 
 // comparisonRows runs the Vehicle-Key vs state-of-the-art sweep shared
@@ -294,7 +295,7 @@ func comparisonRows(cfg RunConfig) ([]comparisonCell, error) {
 			if err != nil {
 				return comparisonCell{}, err
 			}
-			return comparisonCell{vk: m, base: []pipeline.StreamResult{lk, han, gao}}, nil
+			return comparisonCell{vk: m, base: []core.Metrics{lk, han, gao}}, nil
 		})
 	})
 }

@@ -89,7 +89,7 @@ func keyflowPolicy(pkgBase, name string) (policySpec, bool) {
 		switch name {
 		// Quantizer outputs: result 0 is the key-bit stream; kept-index
 		// results are public wire data by design.
-		case "Quantize", "BobQuantize", "QuantizePredicted", "AliceBitsAt",
+		case "Quantize", "BobQuantize", "QuantizePredicted",
 			"MultiBit", "MeanThreshold", "Select", "SelectAt", "AliceSelect",
 			"Amplify", "Cascade", "CSISTA", "Reconcile",
 			"CascadeSyndromeCorrect", "CSISTACorrect", "AlicePrecompute":

@@ -135,16 +135,27 @@ func TestNormalizeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHammingAndAgreement checks Agreement on a small pair, its zero
+// cases, and that on 64-bit blocks it equals 1 − d/64 for every Hamming
+// distance d exactly (the form the stream evaluator once computed).
 func TestHammingAndAgreement(t *testing.T) {
-	a := []byte{1, 0, 1, 1}
-	b := []byte{1, 1, 1, 0}
-	d, err := HammingDistance(a, b)
-	if err != nil || d != 2 {
-		t.Errorf("distance=%d err=%v, want 2,nil", d, err)
+	if ag := Agreement([]byte{1, 0, 1, 1}, []byte{1, 1, 1, 0}); ag != 0.5 {
+		t.Errorf("agreement=%v, want 0.5", ag)
 	}
-	ag, err := BitAgreement(a, b)
-	if err != nil || ag != 0.5 {
-		t.Errorf("agreement=%v err=%v, want 0.5,nil", ag, err)
+	if ag := Agreement(nil, nil); ag != 0 {
+		t.Errorf("empty agreement=%v, want 0", ag)
+	}
+	if ag := Agreement([]byte{1}, []byte{1, 1}); ag != 0 {
+		t.Errorf("mismatched-length agreement=%v, want 0", ag)
+	}
+	a, b := make([]byte, 64), make([]byte, 64)
+	for d := 0; d <= 64; d++ {
+		if d > 0 {
+			b[d-1] = 1
+		}
+		if got, want := Agreement(a, b), 1-float64(d)/64; got != want {
+			t.Errorf("d=%d: agreement %v, want %v", d, got, want)
+		}
 	}
 }
 

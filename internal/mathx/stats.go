@@ -196,30 +196,18 @@ func Denormalize(xs []float64, mean, std float64) {
 	}
 }
 
-// HammingDistance counts positions where the bit slices differ. The slices
-// must have equal length.
-func HammingDistance(a, b []byte) (int, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("mathx: length mismatch")
+// Agreement returns the fraction of equal positions in two bit slices,
+// the paper's "key agreement rate" for one pair; empty or
+// unequal-length slices agree nowhere.
+func Agreement(a, b []byte) float64 {
+	if len(a) == 0 || len(a) != len(b) {
+		return 0
 	}
-	d := 0
+	same := 0
 	for i := range a {
-		if a[i] != b[i] {
-			d++
+		if a[i] == b[i] {
+			same++
 		}
 	}
-	return d, nil
-}
-
-// BitAgreement returns the fraction of equal positions in two bit slices
-// of equal length; it is the paper's "key agreement rate" for one pair.
-func BitAgreement(a, b []byte) (float64, error) {
-	d, err := HammingDistance(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if len(a) == 0 {
-		return 0, ErrEmptyInput
-	}
-	return 1 - float64(d)/float64(len(a)), nil
+	return float64(same) / float64(len(a))
 }

@@ -159,7 +159,7 @@ func TestPredictorLearnsIdentityMapping(t *testing.T) {
 				bits[j] = 1
 			}
 		}
-		_, zHat := p.ForwardBatched(alice)
+		_, zHat := p.Forward(alice)
 		got := Bits(zHat)
 		for j := range bits {
 			if got[j] == bits[j] {

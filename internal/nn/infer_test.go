@@ -84,11 +84,11 @@ func TestMLPForwardInferByteIdentical(t *testing.T) {
 	}
 }
 
-// TestForwardBatchedByteIdentical is the linchpin of the batched path:
+// TestForwardByteIdentical is the linchpin of the batched path:
 // the predictor's forward must reproduce the per-step reference
 // bit-for-bit on random sequences, so every downstream key bit is
 // unchanged.
-func TestForwardBatchedByteIdentical(t *testing.T) {
+func TestForwardByteIdentical(t *testing.T) {
 	cfgs := []PredictorConfig{
 		{SeqLen: 8, Hidden: 12, Bits: 16, Theta: 0.9},
 		{SeqLen: 32, Hidden: 32, Bits: 64, Theta: 0.9},
@@ -104,17 +104,17 @@ func TestForwardBatchedByteIdentical(t *testing.T) {
 				seq[i] = src.Normal(0, 1)
 			}
 			yRef, zRef := rp.forward(seq)
-			yGot, zGot := p.ForwardBatched(seq)
+			yGot, zGot := p.Forward(seq)
 			sameBits(t, "yHat", yGot, yRef)
 			sameBits(t, "zHat", zGot, zRef)
 		}
 	}
 }
 
-// TestForwardBatchedScenarioWindows repeats the byte-identity check on
+// TestForwardScenarioWindows repeats the byte-identity check on
 // real collected windows from all four paper scenarios (Urban/Rural ×
 // V2V/V2I), the inputs the golden-key tests feed end to end.
-func TestForwardBatchedScenarioWindows(t *testing.T) {
+func TestForwardScenarioWindows(t *testing.T) {
 	src := rng.New(1)
 	p := NewPredictor(PredictorConfig{SeqLen: 32, Hidden: 24, Bits: 64, Theta: 0.9}, src)
 	rp := newRefPredictor(p)
@@ -127,7 +127,7 @@ func TestForwardBatchedScenarioWindows(t *testing.T) {
 			}
 			for _, s := range ds.Samples {
 				yRef, zRef := rp.forward(s.Alice)
-				yGot, zGot := p.ForwardBatched(s.Alice)
+				yGot, zGot := p.Forward(s.Alice)
 				sameBits(t, sc.Name+" yHat", yGot, yRef)
 				sameBits(t, sc.Name+" zHat", zGot, zRef)
 			}

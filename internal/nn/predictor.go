@@ -104,10 +104,10 @@ func (p *Predictor) forward(aliceSeq, yHat, zHat []float64) []float64 {
 	return hs
 }
 
-// ForwardBatched maps Alice's normalized arRSSI sequence to (predicted
+// Forward maps Alice's normalized arRSSI sequence to (predicted
 // Bob sequence, soft bit probabilities), both freshly allocated. Not
 // safe for concurrent use on one instance.
-func (p *Predictor) ForwardBatched(aliceSeq []float64) (yHat, zHat []float64) {
+func (p *Predictor) Forward(aliceSeq []float64) (yHat, zHat []float64) {
 	yHat = make([]float64, p.Cfg.SeqLen)
 	zHat = make([]float64, p.Cfg.Bits)
 	p.forward(aliceSeq, yHat, zHat)

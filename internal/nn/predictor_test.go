@@ -13,7 +13,7 @@ func TestPredictorOutputShapes(t *testing.T) {
 	src := rng.New(1)
 	p := NewPredictor(PredictorConfig{SeqLen: 16, Hidden: 4, Bits: 32, Theta: 0.9}, src)
 	seq := make([]float64, 16)
-	yHat, zHat := p.ForwardBatched(seq)
+	yHat, zHat := p.Forward(seq)
 	if len(yHat) != 16 || len(zHat) != 32 {
 		t.Fatalf("shapes %d/%d, want 16/32", len(yHat), len(zHat))
 	}
@@ -27,7 +27,7 @@ func TestPredictorSigmoidBounds(t *testing.T) {
 		for i, v := range raw {
 			seq[i] = float64(v) / 32
 		}
-		_, zHat := p.ForwardBatched(seq)
+		_, zHat := p.Forward(seq)
 		for _, z := range zHat {
 			if z < 0 || z > 1 {
 				return false
@@ -56,8 +56,8 @@ func TestPredictorSaveLoadDeterministic(t *testing.T) {
 	for i := range seq {
 		seq[i] = src.Normal(0, 1)
 	}
-	y1, z1 := p1.ForwardBatched(seq)
-	y2, z2 := p2.ForwardBatched(seq)
+	y1, z1 := p1.Forward(seq)
+	y2, z2 := p2.Forward(seq)
 	for i := range y1 {
 		if y1[i] != y2[i] {
 			t.Fatal("prediction head differs after load")

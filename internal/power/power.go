@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/amplify"
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/secure"
 	"repro/internal/trace"
 )
@@ -85,7 +86,7 @@ func Profile(sys *core.System, smp trace.Sample, iters int) ([]Measurement, erro
 		next++
 	})
 	aliceBits, finalKept := sys.AliceSelect(smp.Alice, bobKept)
-	bobFinal := core.SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)
+	bobFinal := pipeline.SelectAt(bobBits, bobKept, finalKept, sys.Cfg.BitsPerSample)
 
 	// Pad both to the reconciliation block (profiling a single round).
 	block := sys.BlockBits()

@@ -1,5 +1,7 @@
 package reconcile
 
+import "repro/internal/mathx"
+
 // Outcome reports one reconciliation run, including the cost accounting
 // used to reproduce the paper's Fig. 11 computation-cost comparison.
 type Outcome struct {
@@ -14,18 +16,7 @@ type Outcome struct {
 }
 
 // Agreement returns the post-reconciliation bit agreement rate.
-func (o Outcome) Agreement() float64 {
-	if len(o.AliceKey) == 0 || len(o.AliceKey) != len(o.BobKey) {
-		return 0
-	}
-	same := 0
-	for i := range o.AliceKey {
-		if o.AliceKey[i] == o.BobKey[i] {
-			same++
-		}
-	}
-	return float64(same) / float64(len(o.AliceKey))
-}
+func (o Outcome) Agreement() float64 { return mathx.Agreement(o.AliceKey, o.BobKey) }
 
 // Exact reports whether the two keys agree on every bit.
 func (o Outcome) Exact() bool { return o.Agreement() == 1 }

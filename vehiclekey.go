@@ -34,6 +34,7 @@ import (
 	"io"
 	"log"
 
+	"repro/internal/amplify"
 	// Blank import: registers the lora-key/han/gao scheme builders so
 	// Options.Scheme / WithScheme can name them.
 	_ "repro/internal/baselines"
@@ -320,7 +321,7 @@ func (s *Session) CheckRandomness(minBits int) (RandomnessReport, error) {
 			return RandomnessReport{}, err
 		}
 		for _, r := range rs {
-			stream = append(stream, unpackKey(r.BobKey)...)
+			stream = append(stream, amplify.UnpackBits(r.BobKey, amplify.KeyBits)...)
 		}
 		if len(stream) >= minBits {
 			break
@@ -331,16 +332,6 @@ func (s *Session) CheckRandomness(minBits int) (RandomnessReport, error) {
 		return RandomnessReport{}, fmt.Errorf("vehiclekey: %w", err)
 	}
 	return RandomnessReport{Results: results, Bits: len(stream)}, nil
-}
-
-func unpackKey(key []byte) []byte {
-	out := make([]byte, 0, len(key)*8)
-	for _, b := range key {
-		for i := 7; i >= 0; i-- {
-			out = append(out, b>>uint(i)&1)
-		}
-	}
-	return out
 }
 
 // SaveModel writes the trained predictor and reconciler weights.
