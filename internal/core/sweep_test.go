@@ -8,22 +8,24 @@ import (
 	"repro/internal/trace"
 )
 
-// TestSweepGuards is a tuning harness for the guard/confidence operating
-// point; run with -run TestSweepGuards -v.
+// TestSweepGuards checks the guard/confidence trade-off the operating
+// point is chosen on: widening the guard band and the prediction margin
+// raises pre-reconciliation agreement and lowers the key generation
+// rate (80.0 % / 1.00 bit/s at 0.4/0.15, 85.7 % / 0.82 at 0.6/0.25,
+// 93.6 % / 0.53 at 0.8/0.35 on this dataset).
 func TestSweepGuards(t *testing.T) {
 	if testing.Short() {
-		t.Skip("tuning harness")
+		t.Skip("trains three models")
 	}
 	sc := trace.NewScenario(channel.Urban, channel.V2I)
 	ds, err := trace.Build(sc, 42, 250, 32, trace.DefaultExtract())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ guard, margin float64 }{
+	var prev Metrics
+	for i, tc := range []struct{ guard, margin float64 }{
 		{0.4, 0.15},
-		{0.6, 0.15},
 		{0.6, 0.25},
-		{0.8, 0.25},
 		{0.8, 0.35},
 	} {
 		src := rng.New(43)
@@ -40,5 +42,10 @@ func TestSweepGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("guard=%.1f margin=%.2f: %v", tc.guard, tc.margin, m)
+		if i > 0 && (m.PreKAR <= prev.PreKAR || m.KGR >= prev.KGR) {
+			t.Errorf("guard=%.1f margin=%.2f: preKAR %.4f, KGR %.2f; want preKAR above %.4f and KGR below %.2f",
+				tc.guard, tc.margin, m.PreKAR, m.KGR, prev.PreKAR, prev.KGR)
+		}
+		prev = m
 	}
 }

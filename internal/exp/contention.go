@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/group"
 	"repro/internal/lora"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -17,18 +18,6 @@ import (
 func init() {
 	register("density", DensityExp)
 	register("airtime", AirtimeExp)
-}
-
-// contentionPolicy works in the medium's virtual seconds. Most protocol
-// messages fit one fragment, well under a second on the air at the
-// medium's SF7, but on a contended channel listen-before-talk backoff
-// and duty-cycle waits stretch a round trip to seconds, so the initial
-// receive deadline sits above a full round trip.
-var contentionPolicy = protocol.RetryPolicy{
-	Timeout:    4 * time.Second,
-	MaxTimeout: 16 * time.Second,
-	Backoff:    1.6,
-	MaxRetries: 8,
 }
 
 // contentionResult aggregates one shared-medium run.
@@ -92,7 +81,7 @@ func runContention(sys *core.System, sc trace.Scenario, sysCfg core.Config,
 			}
 			s.vOut, s.vErr = server.RunVehicle(s.vconn, s.vsys, sc, sysCfg, mediumSeed,
 				server.Vehicle{ID: uint64(i), Windows: windows, HelloCopies: 2},
-				protocol.WithRetryPolicy(contentionPolicy))
+				protocol.WithRetryPolicy(group.SharedMediumRetry))
 			s.ttk = s.vconn.LastActive()
 		}()
 		wg.Add(1)
@@ -104,7 +93,7 @@ func runContention(sys *core.System, sc trace.Scenario, sysCfg core.Config,
 				return
 			}
 			node := protocol.NewNode(s.gsys, s.gconn, server.SessionName(uint64(i)),
-				protocol.WithRetryPolicy(contentionPolicy))
+				protocol.WithRetryPolicy(group.SharedMediumRetry))
 			// The hello copies land as garbage envelopes the ARQ layer
 			// skips, as on the real server after its hello decode.
 			_, _ = node.RunAlice(aliceWin)

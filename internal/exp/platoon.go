@@ -2,15 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/group"
 	"repro/internal/lora"
-	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -40,10 +37,11 @@ func platoonLeavers(p platoonPoint) map[uint64]bool {
 
 // runPlatoon drives one full platoon session — concurrent pairwise
 // establishment, epoch-1 group rekey, the configured departures, and
-// the epoch-2 survivor rekey — over a fresh lockstep shared medium.
-// Deterministic: the medium serializes every device, links are dialed
-// in member order before any session goroutine starts, and all
-// randomness descends from seed.
+// the epoch-2 survivor rekey — over a fresh lockstep shared medium,
+// with the default 16 windows per member and the shared-medium timing
+// profile. Deterministic: the medium serializes every device, links
+// are dialed in member order before any session goroutine starts, and
+// all randomness descends from seed.
 func runPlatoon(sys *core.System, seed int64, p platoonPoint, cfg RunConfig) (group.DriveResult, error) {
 	m, err := lora.NewMedium(lora.MediumConfig{
 		Channels: 4,
@@ -55,48 +53,16 @@ func runPlatoon(sys *core.System, seed int64, p platoonPoint, cfg RunConfig) (gr
 		return group.DriveResult{}, err
 	}
 	defer func() { _ = m.Close() }()
-
-	const windows = 16 // two reconciliation rounds per member
-	sc := trace.NewScenario(channel.Urban, channel.V2I)
-	sysCfg := core.DefaultConfig()
-	dc := group.DriveConfig{
-		Members: p.members,
-		Leavers: platoonLeavers(p),
-		Seed:    seed,
-		Listen:  func() (transport.Listener, error) { return m.Listen() },
-		Dial: func(member uint64) (transport.Conn, error) {
-			return m.Dial(fmt.Sprintf("veh-%d", member))
-		},
-		Hub: group.HubConfig{
-			Resolve: func(member uint64, n int) (pipeline.Scheme, [][]float64, error) {
-				alice, _, err := server.SessionWindowsFor(sc, sysCfg, seed, member, n, trace.Alice)
-				return sys.Clone(), alice, err
-			},
-			Retry:    contentionPolicy,
-			Tick:     2 * time.Second,
-			Recorder: cfg.Obs,
-		},
-		Member: func(member uint64) (group.MemberConfig, error) {
-			_, bob, err := server.SessionWindowsFor(sc, sysCfg, seed, member, windows, trace.Bob)
-			if err != nil {
-				return group.MemberConfig{}, err
-			}
-			return group.MemberConfig{
-				Scheme:     sys.Clone(),
-				Windows:    bob,
-				Retry:      contentionPolicy,
-				Tick:       2 * time.Second,
-				JoinCopies: 8, // the whole platoon's joins collide at ignition
-				Recorder:   cfg.Obs,
-			}, nil
-		},
-		// KeyWait stays 0 (event-driven member waits): on a lockstep
-		// medium the virtual clock outruns the hub's wall-scheduled
-		// control plane between epochs, so tick budgets there would turn
-		// scheduler noise into nondeterministic member deaths.
-		LeaveWait: 60 * time.Second,
-	}
-	return group.Drive(dc)
+	return group.Drive(group.DriveConfig{
+		Template: sys,
+		Scenario: trace.NewScenario(channel.Urban, channel.V2I),
+		Seed:     seed,
+		Members:  p.members,
+		Leavers:  platoonLeavers(p),
+		Listen:   func() (transport.Listener, error) { return m.Listen() },
+		Dial:     func(member uint64) (transport.Conn, error) { return m.Dial(fmt.Sprintf("veh-%d", member)) },
+		Recorder: cfg.Obs,
+	})
 }
 
 // platoonUnanimous reports whether every member's accepted digest

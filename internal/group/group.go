@@ -7,8 +7,7 @@
 //
 // The package has two layers. This file is the key schedule: a
 // mutex-guarded Hub that derives epoch-bound group keys and seals one
-// envelope per member (concurrently, over an indexed-slot worker pool),
-// and the member-side MemberState that enforces the monotone-epoch
+// envelope per member, and the member-side MemberState that enforces the monotone-epoch
 // contract. platoon.go runs both roles as protocol.Node peers over
 // transport endpoints, so a whole platoon session — N concurrent
 // pairwise establishments, rekey fan-out, churn — works across
@@ -29,7 +28,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -61,20 +59,12 @@ type Hub struct {
 	members map[string]*Member
 	epoch   uint32
 	current []byte
-	workers int
 	rec     obs.Recorder
 	closed  bool
 }
 
 // HubOption configures NewHub.
 type HubOption func(*Hub)
-
-// WithWorkers bounds Rekey's concurrent envelope sealing (default: one
-// worker per CPU). Worker count never changes the output: each worker
-// writes only its own indexed envelope slots.
-func WithWorkers(n int) HubOption {
-	return func(h *Hub) { h.workers = n }
-}
 
 // WithRecorder routes the hub's vk_group_* metrics into r (default
 // obs.Nop; the hub never constructs its own recorder).
@@ -133,18 +123,6 @@ func (h *Hub) Size() int {
 	return len(h.members)
 }
 
-// Members returns the current member IDs in sorted order.
-func (h *Hub) Members() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ids := make([]string, 0, len(h.members))
-	for id := range h.members {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Epoch returns the current key epoch (0 before the first Rekey).
 func (h *Hub) Epoch() uint32 {
 	h.mu.Lock()
@@ -189,10 +167,7 @@ type Envelope struct {
 // The derivation hashes the member IDs in sorted order, so the same
 // entropy and member set always yield the same key regardless of join
 // order or map iteration (the hash is schedule-independent). The
-// superseded key is wiped before the new one is installed. Sealing fans
-// out over a strided worker pool: worker k seals envelopes k, k+w,
-// k+2w…, so each member's channel is touched by exactly one goroutine
-// and the envelope slice is identical at any worker count.
+// superseded key is wiped before the new one is installed.
 func (h *Hub) Rekey(entropy []byte) ([]Envelope, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -224,29 +199,13 @@ func (h *Hub) Rekey(entropy []byte) ([]Envelope, error) {
 	secure.Wipe(sum[16:])
 
 	out := make([]Envelope, len(ids))
-	w := h.workers
-	if w <= 0 {
-		w = runtime.NumCPU()
+	payload := make([]byte, 4+16)
+	copy(payload[:4], eb[:])
+	copy(payload[4:], h.current)
+	for i, id := range ids {
+		out[i] = Envelope{MemberID: id, Epoch: h.epoch, Sealed: h.members[id].channel.Seal(payload)}
 	}
-	if w > len(ids) {
-		w = len(ids)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := k; i < len(ids); i += w {
-				m := h.members[ids[i]]
-				payload := make([]byte, 4+16)
-				copy(payload[:4], eb[:])
-				copy(payload[4:], h.current)
-				out[i] = Envelope{MemberID: m.ID, Epoch: h.epoch, Sealed: m.channel.Seal(payload)}
-				secure.Wipe(payload)
-			}
-		}(k)
-	}
-	wg.Wait()
+	secure.Wipe(payload)
 	h.rec.Add(obs.GroupRekeys, 1)
 	h.rec.Set(obs.GroupEpoch, float64(h.epoch))
 	return out, nil

@@ -8,11 +8,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/secure"
+	"repro/internal/server"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -46,17 +49,67 @@ var ErrSessionEnded = errors.New("group: platoon session ended")
 // no key, so the peer cannot participate in the group schedule.
 var ErrNoPairwiseKey = errors.New("group: no pairwise key derived")
 
-// defaultTick is the receive-poll granularity in conn time.
-const defaultTick = 2 * time.Second
+// ErrJoinRefused reports a join the hub will not serve: a member ID
+// outside the platoon or a window count other than the platoon's. The
+// hub refuses it before deriving anything, so an unauthenticated join
+// costs it no window synthesis.
+var ErrJoinRefused = errors.New("group: join refused")
 
-// ticks converts a total wait into a RecvTimeout tick budget, at least 1.
-func ticks(total, tick time.Duration) int {
-	n := int(total / tick)
-	if n < 1 {
-		n = 1
-	}
-	return n
+// SharedMediumRetry is the ARQ policy for a shared LoRa medium, in its
+// virtual seconds. Most protocol messages fit one fragment, well under
+// a second on the air at the medium's SF7, but on a contended channel
+// listen-before-talk backoff and duty-cycle waits stretch a round trip
+// to seconds, so the initial receive deadline sits above a full round
+// trip.
+var SharedMediumRetry = protocol.RetryPolicy{
+	Timeout:    4 * time.Second,
+	MaxTimeout: 16 * time.Second,
+	Backoff:    1.6,
+	MaxRetries: 8,
 }
+
+// profile is a platoon's timing on one kind of transport, in conn time.
+type profile struct {
+	retry      protocol.RetryPolicy // pairwise establishment ARQ
+	tick       time.Duration        // receive-poll granularity
+	joinCopies int                  // join transmissions before proceeding unwelcomed
+}
+
+var (
+	// pointToPoint fits mem/tcp/udp links, whose round trips take
+	// milliseconds of wall time.
+	pointToPoint = profile{
+		retry:      protocol.RetryPolicy{Timeout: 50 * time.Millisecond, MaxRetries: 8},
+		tick:       20 * time.Millisecond,
+		joinCopies: 1,
+	}
+	// sharedMedium fits a lora medium: one protocol message is a
+	// multi-fragment burst of a second or two on the air, and the whole
+	// platoon's joins collide in the ignition window.
+	sharedMedium = profile{retry: SharedMediumRetry, tick: 2 * time.Second, joinCopies: 8}
+)
+
+// Fixed values of the platoon schedule.
+const (
+	// defaultWindows is the probing-window count per member when
+	// DriveConfig.Windows is unset: two reconciliation rounds, so a
+	// single failed round does not sink an establishment.
+	defaultWindows = 16
+	// joinWait bounds the hub's wait for a join on an accepted conn.
+	joinWait = 2 * time.Minute
+	// ackTicks is the retransmit interval of an unacknowledged rekey
+	// envelope, in ticks.
+	ackTicks = 4
+	// ackRetries is how many times an unacknowledged envelope is
+	// retransmitted before the member is marked failed.
+	ackRetries = 6
+	// lingerTicks is how long a leaving member keeps re-acking
+	// duplicate envelopes, and then how many times it sends its leave.
+	lingerTicks = 5
+	// leaveWait is the wall-clock failsafe for the hub's churn wait;
+	// the departures it counts are event-driven.
+	leaveWait = 60 * time.Second
+)
 
 // memberName is the hub-side registry ID for a wire member.
 func memberName(member uint64) string { return strconv.FormatUint(member, 10) }
@@ -68,54 +121,6 @@ func platoonSession(member uint64) string { return fmt.Sprintf("vk/platoon/%d", 
 // ---------------------------------------------------------------------
 // Hub side.
 // ---------------------------------------------------------------------
-
-// HubConfig configures the hub end of a platoon session. All durations
-// are measured on the conn's clock (virtual seconds over lora).
-type HubConfig struct {
-	// Resolve supplies the hub-side scheme clone and Alice windows for a
-	// joining member announcing the given window count. It is called
-	// concurrently from establishment workers, so it must hand out a
-	// dedicated clone per call (callers typically wrap sys.Clone() +
-	// server.SessionWindows).
-	Resolve func(member uint64, windows int) (pipeline.Scheme, [][]float64, error)
-	// Retry is the ARQ policy for pairwise establishment (zero value:
-	// the protocol default; use virtual-second policies on lora).
-	Retry protocol.RetryPolicy
-	// Workers bounds concurrent pairwise establishments (0: one worker
-	// per member — required for deterministic lockstep runs, where a
-	// smaller pool's dispatch order would depend on the scheduler).
-	Workers int
-	// JoinWait bounds the wait for a join frame on an accepted conn
-	// (default 2min).
-	JoinWait time.Duration
-	// AckWait is the retransmit interval for an unacknowledged rekey
-	// envelope (default 4 ticks).
-	AckWait time.Duration
-	// AckRetries is how many times an unacknowledged envelope is
-	// retransmitted before the member is marked failed (default 6).
-	AckRetries int
-	// Tick is the receive-poll granularity (default 2s).
-	Tick time.Duration
-	// Recorder receives the vk_group_* metrics (default nop).
-	Recorder obs.Recorder
-}
-
-func (c HubConfig) normalize() HubConfig {
-	if c.Tick <= 0 {
-		c.Tick = defaultTick
-	}
-	if c.JoinWait <= 0 {
-		c.JoinWait = 2 * time.Minute
-	}
-	if c.AckWait <= 0 {
-		c.AckWait = 4 * c.Tick
-	}
-	if c.AckRetries <= 0 {
-		c.AckRetries = 6
-	}
-	c.Recorder = obs.OrNop(c.Recorder)
-	return c
-}
 
 // deliverReq asks a link loop to deliver one sealed envelope; done
 // receives exactly one verdict once the member acks, departs, or the
@@ -140,13 +145,14 @@ type memberLink struct {
 
 func (l *memberLink) shutdown() { l.once.Do(func() { close(l.gone) }) }
 
-// HubSession drives the hub end of a platoon over a transport listener:
+// hubSession drives the hub end of a platoon over a transport listener:
 // concurrent pairwise establishment, rekey fan-out with per-member
 // acknowledgement, and churn bookkeeping.
-type HubSession struct {
-	cfg HubConfig
-	hub *Hub
-	rec obs.Recorder
+type hubSession struct {
+	cfg  DriveConfig // normalized by Drive
+	prof profile
+	hub  *Hub
+	rec  obs.Recorder
 
 	mu     sync.Mutex
 	links  map[string]*memberLink
@@ -157,36 +163,30 @@ type HubSession struct {
 	loops   sync.WaitGroup
 }
 
-// NewHubSession builds a hub session; cfg.Resolve is required.
-func NewHubSession(cfg HubConfig) (*HubSession, error) {
-	if cfg.Resolve == nil {
-		return nil, errors.New("group: hub session needs a Resolve callback")
-	}
-	cfg = cfg.normalize()
-	return &HubSession{
+func newHubSession(cfg DriveConfig, prof profile) *hubSession {
+	return &hubSession{
 		cfg:    cfg,
+		prof:   prof,
 		hub:    NewHub(WithRecorder(cfg.Recorder)),
 		rec:    cfg.Recorder,
 		links:  make(map[string]*memberLink),
 		leaves: make(chan uint64, 4096),
-	}, nil
+	}
 }
 
-// EstablishOutcome reports one accepted conn's pairwise establishment.
-type EstablishOutcome struct {
-	Member uint64
-	Rounds int   // pairwise rounds the hub confirmed
-	Err    error // nil when the member joined the group
+// establishOutcome reports one accepted conn's pairwise establishment.
+type establishOutcome struct {
+	member uint64
+	err    error // nil when the member joined the group
 }
 
-// Establish accepts n conns from l and runs the pairwise Vehicle-Key
+// establish accepts n conns from l and runs the pairwise Vehicle-Key
 // protocol with each concurrently — every accepted conn gets its own
-// establishment goroutine (bounded by cfg.Workers) writing only its
-// own outcome slot, so the result is identical at any worker count.
-// Members whose run confirms at least one key join the hub; their
-// conns move under a link loop that serves acks and leave events.
-// Outcomes are returned sorted by member ID.
-func (s *HubSession) Establish(l transport.Listener, n int) ([]EstablishOutcome, error) {
+// establishment goroutine writing only its own outcome slot. Members
+// whose run confirms at least one key join the hub; their conns move
+// under a link loop that serves acks and leave events. Outcomes are
+// returned sorted by member ID.
+func (s *hubSession) establish(l transport.Listener, n int) ([]establishOutcome, error) {
 	conns := make([]transport.Conn, 0, n)
 	for len(conns) < n {
 		c, err := l.Accept()
@@ -198,59 +198,49 @@ func (s *HubSession) Establish(l transport.Listener, n int) ([]EstablishOutcome,
 		}
 		conns = append(conns, c)
 	}
-	outcomes := make([]EstablishOutcome, len(conns))
-	workers := s.cfg.Workers
-	if workers <= 0 || workers > len(conns) {
-		workers = len(conns)
-	}
-	sem := make(chan struct{}, workers)
+	outcomes := make([]establishOutcome, len(conns))
 	var wg sync.WaitGroup
 	for i, c := range conns {
-		i, c := i, c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			outcomes[i] = s.establishOne(c)
 		}()
 	}
 	wg.Wait()
-	sort.SliceStable(outcomes, func(a, b int) bool { return outcomes[a].Member < outcomes[b].Member })
+	sort.SliceStable(outcomes, func(a, b int) bool { return outcomes[a].member < outcomes[b].member })
 	return outcomes, nil
 }
 
 // establishOne runs one member's join + pairwise establishment and, on
 // success, registers the member and hands the conn to its link loop.
 // On failure the conn is closed, which also unblocks the member side.
-func (s *HubSession) establishOne(conn transport.Conn) EstablishOutcome {
+func (s *hubSession) establishOne(conn transport.Conn) establishOutcome {
 	started := time.Now()
-	fail := func(err error) EstablishOutcome {
+	fail := func(err error) establishOutcome {
 		_ = conn.Close()
 		s.rec.Add(groupEstablishFailed, 1)
-		return EstablishOutcome{Err: err}
+		return establishOutcome{err: err}
 	}
-	join, err := s.awaitJoin(conn)
+	member, err := s.awaitJoin(conn)
 	if err != nil {
 		return fail(err)
 	}
-	member := join.Member
-	sys, aliceWin, err := s.cfg.Resolve(member, join.Windows)
+	aliceWin, _, err := server.SessionWindowsFor(s.cfg.Scenario, s.cfg.Template.Cfg, s.cfg.Seed, member, s.cfg.Windows, trace.Alice)
 	if err != nil {
-		return fail(fmt.Errorf("group: member %d: resolve: %w", member, err))
+		return fail(fmt.Errorf("group: member %d: %w", member, err))
 	}
-	node := protocol.NewNode(sys, conn, platoonSession(member),
-		protocol.WithRetryPolicy(s.cfg.Retry), protocol.WithRecorder(s.rec))
+	node := protocol.NewNode(s.cfg.Template.Clone(), conn, platoonSession(member),
+		protocol.WithRetryPolicy(s.prof.retry), protocol.WithRecorder(s.rec))
 	outs, err := node.RunAlice(aliceWin)
 	if err != nil {
 		return fail(fmt.Errorf("group: member %d: establish: %w", member, err))
 	}
-	rounds, joined := 0, false
+	joined := false
 	for _, ko := range outs {
 		if !ko.Confirmed {
 			continue
 		}
-		rounds++
 		if !joined {
 			// The first confirmed round keys the member's group channel;
 			// the member keeps a candidate channel per derived key and
@@ -285,43 +275,49 @@ func (s *HubSession) establishOne(conn transport.Conn) EstablishOutcome {
 	s.rec.Add(groupEstablishOK, 1)
 	//vklint:ignore detrand -- wall time feeds only the metrics recorder, never a report
 	s.rec.Observe(obs.GroupEstablishSeconds, time.Since(started).Seconds())
-	return EstablishOutcome{Member: member, Rounds: rounds}
+	return establishOutcome{member: member}
 }
 
 // awaitJoin reads frames off a fresh conn until a join arrives, within
-// the join tick budget. Non-join deliveries (join copies on lossy
-// links, early protocol traffic) are skipped.
-func (s *HubSession) awaitJoin(conn transport.Conn) (frame, error) {
-	for budget := ticks(s.cfg.JoinWait, s.cfg.Tick); budget > 0; {
-		data, err := conn.RecvTimeout(s.cfg.Tick)
+// the join tick budget, and returns the joining member's ID. Non-join
+// deliveries (join copies on lossy links, early protocol traffic) are
+// skipped. A join from outside the platoon, or announcing a window
+// count other than the platoon's, is refused unwelcomed.
+func (s *hubSession) awaitJoin(conn transport.Conn) (uint64, error) {
+	for budget := int(joinWait / s.prof.tick); budget > 0; {
+		data, err := conn.RecvTimeout(s.prof.tick)
 		if errors.Is(err, transport.ErrTimeout) {
 			budget--
 			continue
 		}
 		if err != nil {
-			return frame{}, fmt.Errorf("group: await join: %w", err)
+			return 0, fmt.Errorf("group: await join: %w", err)
 		}
 		fr, err := decodeFrame(data)
 		if err != nil || fr.Kind != kindJoin {
 			continue
+		}
+		if fr.Member >= uint64(s.cfg.Members) || fr.Windows != s.cfg.Windows {
+			return 0, fmt.Errorf("%w: member %d announcing %d windows (platoon: %d members, %d windows)",
+				ErrJoinRefused, fr.Member, fr.Windows, s.cfg.Members, s.cfg.Windows)
 		}
 		// Welcome the member so it stops retransmitting its join and
 		// starts the pairwise run. A lost welcome is repaired by the
 		// member's bounded retries; leftover join duplicates are skipped
 		// by the protocol layer as ARQ garbage.
 		_ = conn.Send(encodeFrame(frame{Kind: kindWelcome, Member: fr.Member}))
-		return fr, nil
+		return fr.Member, nil
 	}
-	return frame{}, errors.New("group: no join before deadline")
+	return 0, errors.New("group: no join before deadline")
 }
 
 // linkLoop owns a member's conn after establishment. It is the only
 // goroutine touching the conn: it delivers rekey envelopes handed over
 // via cmds (retransmitting the identical cached ciphertext every
-// AckWait of conn time until the member acks the epoch), routes leave
+// ackTicks of conn time until the member acks the epoch), routes leave
 // frames and dead conns into departure events, and sends the session
 // bye once the hub closes.
-func (s *HubSession) linkLoop(l *memberLink) {
+func (s *hubSession) linkLoop(l *memberLink) {
 	defer s.loops.Done()
 	var cur *deliverReq
 	finish := func(ok bool) {
@@ -352,7 +348,6 @@ func (s *HubSession) linkLoop(l *memberLink) {
 			}
 		}
 	}()
-	ackTicks := ticks(s.cfg.AckWait, s.cfg.Tick)
 	attempts, sinceSend := 0, 0
 	for {
 		if s.isClosed() {
@@ -374,7 +369,7 @@ func (s *HubSession) linkLoop(l *memberLink) {
 			}
 		}
 		if cur != nil && sinceSend >= ackTicks {
-			if attempts > s.cfg.AckRetries {
+			if attempts > ackRetries {
 				finish(false)
 			} else {
 				if err := l.conn.Send(cur.data); err != nil {
@@ -385,7 +380,7 @@ func (s *HubSession) linkLoop(l *memberLink) {
 				sinceSend = 0
 			}
 		}
-		data, err := l.conn.RecvTimeout(s.cfg.Tick)
+		data, err := l.conn.RecvTimeout(s.prof.tick)
 		if errors.Is(err, transport.ErrTimeout) {
 			sinceSend++
 			continue
@@ -421,8 +416,8 @@ func (s *HubSession) linkLoop(l *memberLink) {
 }
 
 // dropMember removes a departed member: hub membership, link registry,
-// the conn, and a departure event for AwaitLeaves.
-func (s *HubSession) dropMember(l *memberLink) {
+// the conn, and a departure event for awaitLeaves.
+func (s *hubSession) dropMember(l *memberLink) {
 	s.mu.Lock()
 	if s.closed || s.links[l.name] != l {
 		s.mu.Unlock()
@@ -440,7 +435,7 @@ func (s *HubSession) dropMember(l *memberLink) {
 	}
 }
 
-func (s *HubSession) isClosed() bool {
+func (s *hubSession) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
@@ -454,12 +449,12 @@ type RekeyOutcome struct {
 	Failed  []uint64 // members that never acked or departed mid-wave, sorted
 }
 
-// Rekey derives the next epoch's group key and fans the sealed
+// rekey derives the next epoch's group key and fans the sealed
 // envelopes out to every member's link loop concurrently, returning
 // once each target has acked, departed, or exhausted its retry budget.
 // Waves are serialized, so each conn carries at most one outstanding
 // envelope.
-func (s *HubSession) Rekey(entropy []byte) (RekeyOutcome, error) {
+func (s *hubSession) rekey(entropy []byte) (RekeyOutcome, error) {
 	s.rekeyMu.Lock()
 	defer s.rekeyMu.Unlock()
 	if s.isClosed() {
@@ -519,12 +514,12 @@ func (s *HubSession) Rekey(entropy []byte) (RekeyOutcome, error) {
 	return out, nil
 }
 
-// AwaitLeaves blocks until n departure events have arrived (counted
-// from the session start; events are buffered) or the wall-clock
-// failsafe expires, and returns how many it saw.
-func (s *HubSession) AwaitLeaves(n int, wait time.Duration) int {
+// awaitLeaves blocks until n departure events have arrived (counted
+// from the session start; events are buffered) or the leaveWait
+// wall-clock failsafe expires, and returns how many it saw.
+func (s *hubSession) awaitLeaves(n int) int {
 	got := 0
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(leaveWait)
 	defer timer.Stop()
 	for got < n {
 		select {
@@ -537,34 +532,13 @@ func (s *HubSession) AwaitLeaves(n int, wait time.Duration) int {
 	return got
 }
 
-// Members returns the live members' wire IDs, sorted.
-func (s *HubSession) Members() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, 0, len(s.links))
-	for _, l := range s.links {
-		out = append(out, l.member)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// Epoch returns the hub's current key epoch.
-func (s *HubSession) Epoch() uint32 { return s.hub.Epoch() }
-
-// GroupKey returns a copy of the hub's current group key.
-func (s *HubSession) GroupKey() []byte { return s.hub.GroupKey() }
-
-// Hub exposes the underlying key schedule (tests, diagnostics).
-func (s *HubSession) Hub() *Hub { return s.hub }
-
-// Close ends the platoon session: each link loop sends a best-effort
+// close ends the platoon session: each link loop sends a best-effort
 // bye and exits, conns close, and the group key is wiped. Idempotent.
-func (s *HubSession) Close() error {
+func (s *hubSession) close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	s.closed = true
 	links := make([]*memberLink, 0, len(s.links))
@@ -579,85 +553,47 @@ func (s *HubSession) Close() error {
 		_ = l.conn.Close()
 	}
 	s.hub.Close()
-	return nil
 }
 
 // ---------------------------------------------------------------------
 // Member side.
 // ---------------------------------------------------------------------
 
-// MemberConfig configures one member end of a platoon session.
-type MemberConfig struct {
-	// Member is this member's wire ID (unique within the platoon).
-	Member uint64
-	// Scheme is the member's pipeline clone (never shared across
-	// concurrent sessions).
-	Scheme pipeline.Scheme
-	// Windows is the member's Bob-side probing windows.
-	Windows [][]float64
-	// Retry is the ARQ policy for pairwise establishment.
-	Retry protocol.RetryPolicy
-	// JoinCopies bounds the join handshake: the join frame is
-	// retransmitted once per tick until the hub's welcome arrives, up
-	// to JoinCopies attempts (default 1; use ~8 on the shared medium,
-	// where a whole platoon's joins collide in the ignition window).
-	// Exhausting the budget is not fatal — the member proceeds in case
-	// only the welcome was lost.
-	JoinCopies int
-	// Tick is the receive-poll granularity (default 2s; conn time).
-	Tick time.Duration
-	// Linger is how long Leave keeps draining the conn — re-acking
-	// duplicate envelopes whose acks were lost — before departing, so
-	// the hub's fan-out does not mistake a lost ack for a dead member
-	// (default 5 ticks).
-	Linger time.Duration
-	// Recorder receives the member-side vk_group_* metrics.
-	Recorder obs.Recorder
+// memberEnd is one member's state resolved before ignition: its scheme
+// clone and Bob-side probing windows.
+type memberEnd struct {
+	scheme  pipeline.Scheme
+	windows [][]float64
 }
 
-// MemberSession is an established member following the hub's epoch
+// memberSession is an established member following the hub's epoch
 // schedule. It owns the conn; all methods must be called from one
 // goroutine at a time.
-type MemberSession struct {
+type memberSession struct {
 	conn   transport.Conn
 	member uint64
 	state  *MemberState
-	rounds int
 	tick   time.Duration
-	linger time.Duration
 	rec    obs.Recorder
 }
 
-// JoinPlatoon announces the member to the hub and runs the member
+// joinPlatoon announces the member to the hub and runs the member
 // (Bob) side of the pairwise Vehicle-Key establishment over conn. On
 // success the returned session owns conn; on error the caller still
 // owns it.
-func JoinPlatoon(conn transport.Conn, cfg MemberConfig) (*MemberSession, error) {
-	if cfg.Scheme == nil || len(cfg.Windows) == 0 {
-		return nil, errors.New("group: member needs a scheme and windows")
-	}
-	if cfg.JoinCopies < 1 {
-		cfg.JoinCopies = 1
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = defaultTick
-	}
-	if cfg.Linger <= 0 {
-		cfg.Linger = 5 * cfg.Tick
-	}
-	rec := obs.OrNop(cfg.Recorder)
-	join := encodeFrame(frame{Kind: kindJoin, Member: cfg.Member, Windows: len(cfg.Windows)})
+func joinPlatoon(conn transport.Conn, member uint64, end memberEnd, prof profile, rec obs.Recorder) (*memberSession, error) {
+	join := encodeFrame(frame{Kind: kindJoin, Member: member, Windows: len(end.windows)})
 	// Reliable join: a join is a single unacknowledged datagram, so on
 	// the contended medium the whole platoon's joins can collide in the
 	// ignition window. Retransmit each tick until the hub welcomes us;
 	// if the budget runs out, proceed anyway — the hub may have heard
 	// the join and only the welcome was lost, in which case the pairwise
 	// run below confirms it.
-	for attempt, welcomed := 0, false; attempt < cfg.JoinCopies && !welcomed; attempt++ {
+	for attempt, welcomed := 0, false; attempt < prof.joinCopies && !welcomed; attempt++ {
 		if err := conn.Send(join); err != nil {
 			return nil, fmt.Errorf("group: join: %w", err)
 		}
-		data, err := conn.RecvTimeout(cfg.Tick)
+		data, err := conn.RecvTimeout(prof.tick)
 		if errors.Is(err, transport.ErrTimeout) {
 			continue
 		}
@@ -668,11 +604,11 @@ func JoinPlatoon(conn transport.Conn, cfg MemberConfig) (*MemberSession, error) 
 			welcomed = true
 		}
 	}
-	node := protocol.NewNode(cfg.Scheme, conn, platoonSession(cfg.Member),
-		protocol.WithRetryPolicy(cfg.Retry), protocol.WithRecorder(rec))
-	outs, err := node.RunBob(cfg.Windows)
+	node := protocol.NewNode(end.scheme, conn, platoonSession(member),
+		protocol.WithRetryPolicy(prof.retry), protocol.WithRecorder(rec))
+	outs, err := node.RunBob(end.windows)
 	if err != nil {
-		return nil, fmt.Errorf("group: member %d: establish: %w", cfg.Member, err)
+		return nil, fmt.Errorf("group: member %d: establish: %w", member, err)
 	}
 	// Keep a candidate channel for every derived key, confirmed or not:
 	// the hub seals under the first round IT confirmed, and confirmation
@@ -691,55 +627,32 @@ func JoinPlatoon(conn transport.Conn, cfg MemberConfig) (*MemberSession, error) 
 		candidates = append(candidates, ch)
 	}
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("group: member %d: %w", cfg.Member, ErrNoPairwiseKey)
+		return nil, fmt.Errorf("group: member %d: %w", member, ErrNoPairwiseKey)
 	}
 	state, err := NewMemberState(candidates...)
 	if err != nil {
 		return nil, err
 	}
-	return &MemberSession{
-		conn:   conn,
-		member: cfg.Member,
-		state:  state,
-		rounds: len(candidates),
-		tick:   cfg.Tick,
-		linger: cfg.Linger,
-		rec:    rec,
-	}, nil
+	return &memberSession{conn: conn, member: member, state: state, tick: prof.tick, rec: rec}, nil
 }
 
-// Rounds returns how many candidate pairwise keys the establishment
-// derived.
-func (m *MemberSession) Rounds() int { return m.rounds }
-
-// Epoch returns the member's last accepted epoch.
-func (m *MemberSession) Epoch() uint32 { return m.state.Epoch() }
-
-// GroupKey returns a copy of the member's current group key.
-func (m *MemberSession) GroupKey() []byte { return m.state.Key() }
-
-// AwaitKey blocks until the next group-key epoch is accepted and
+// awaitKey blocks until the next group-key epoch is accepted and
 // returns (key copy, epoch). Duplicates of the current epoch are
 // re-acked without reopening (the hub retransmits the identical
 // ciphertext, which the replay-protected channel would reject);
 // envelopes at older epochs are counted as stale drops and ignored.
-// It fails with ErrSessionEnded on a hub bye, transport.ErrTimeout
-// once wait's worth of idle ticks have passed, or the conn's error
-// when it dies. A wait ≤ 0 never times out: the session end (bye),
-// the link dying, or a key are the only exits. That is the correct
-// mode on a lockstep medium, where the virtual clock can run
-// arbitrarily far ahead of the hub's wall-scheduled control plane
-// between epochs — an idle-tick budget there turns scheduling noise
-// into spurious member deaths, while event-driven exits keep every
-// outcome schedule-independent.
-func (m *MemberSession) AwaitKey(wait time.Duration) ([]byte, uint32, error) {
-	budget, forever := ticks(wait, m.tick), wait <= 0
-	for forever || budget > 0 {
+// It fails with ErrSessionEnded on a hub bye, or with the conn's error
+// when it dies; it never times out. That is the correct mode on a
+// lockstep medium, where the virtual clock can run arbitrarily far
+// ahead of the hub's wall-scheduled control plane between epochs — an
+// idle-tick budget there turns scheduling noise into spurious member
+// deaths, while event-driven exits keep every outcome
+// schedule-independent. Drive's teardown closes every conn, which
+// bounds the wait.
+func (m *memberSession) awaitKey() ([]byte, uint32, error) {
+	for {
 		data, err := m.conn.RecvTimeout(m.tick)
 		if errors.Is(err, transport.ErrTimeout) {
-			if !forever {
-				budget--
-			}
 			continue
 		}
 		if err != nil {
@@ -774,16 +687,15 @@ func (m *MemberSession) AwaitKey(wait time.Duration) ([]byte, uint32, error) {
 			return key, fr.Epoch, nil
 		}
 	}
-	return nil, 0, fmt.Errorf("group: await key: %w", transport.ErrTimeout)
 }
 
 // ack sends an epoch acknowledgement (best-effort; the hub retransmits
 // the envelope if the ack is lost).
-func (m *MemberSession) ack(epoch uint32) {
+func (m *memberSession) ack(epoch uint32) {
 	_ = m.conn.Send(encodeFrame(frame{Kind: kindAck, Member: m.member, Epoch: epoch}))
 }
 
-// Leave departs the platoon in two phases, both on the conn's clock:
+// leave departs the platoon in two phases, both on the conn's clock:
 // it lingers briefly to re-ack any retransmitted envelope (so a lost
 // ack is repaired rather than becoming a phantom fan-out failure),
 // then announces the departure and retransmits the leave each tick
@@ -792,29 +704,31 @@ func (m *MemberSession) ack(epoch uint32) {
 // first notice of a departure, because a closed link's endpoint is
 // invisible to a lockstep scheduler and its queued frames drain at
 // wall-clock mercy.
-func (m *MemberSession) Leave() error {
-	for budget := ticks(m.linger, m.tick); budget > 0; {
+func (m *memberSession) leave() {
+	for budget := lingerTicks; budget > 0; {
 		data, err := m.conn.RecvTimeout(m.tick)
 		if errors.Is(err, transport.ErrTimeout) {
 			budget--
 			continue
 		}
 		if err != nil {
-			return m.Close()
+			m.close()
+			return
 		}
 		fr, err := decodeFrame(data)
 		if err != nil {
 			continue
 		}
 		if fr.Kind == kindBye {
-			return m.Close()
+			m.close()
+			return
 		}
 		if fr.Kind == kindKey && fr.Epoch == m.state.Epoch() && fr.Epoch > 0 {
 			m.ack(fr.Epoch)
 		}
 	}
 	leave := encodeFrame(frame{Kind: kindLeave, Member: m.member})
-	for budget := ticks(m.linger, m.tick); budget > 0; budget-- {
+	for budget := lingerTicks; budget > 0; budget-- {
 		if err := m.conn.Send(leave); err != nil {
 			break
 		}
@@ -829,59 +743,61 @@ func (m *MemberSession) Leave() error {
 			break
 		}
 	}
-	return m.Close()
+	m.close()
 }
 
-// Close wipes the member's key state and closes the conn.
-func (m *MemberSession) Close() error {
+// close wipes the member's key state and closes the conn.
+func (m *memberSession) close() {
 	m.state.Close()
-	return m.conn.Close()
+	_ = m.conn.Close()
 }
 
 // ---------------------------------------------------------------------
-// One-shot platoon driver.
+// The platoon driver.
 // ---------------------------------------------------------------------
 
-// waiter is the optional conn-time sleep a lora conn offers; Drive
-// uses it to stagger member ignition on a shared medium.
+// waiter is the optional conn-time sleep a lora conn offers. Drive
+// uses it to tell a shared medium from a point-to-point link, and to
+// stagger member ignition on one.
 type waiter interface{ Wait(d time.Duration) error }
 
-// DriveConfig configures Drive, the canonical platoon run every caller
-// (the platoon experiment, vkload, the public API, the e2e tests)
-// shares: listen, dial every member in a fixed order, establish all
-// pairwise keys concurrently, rekey, let the configured leavers
-// depart, rekey the survivors, and tear down.
+// DriveConfig describes one platoon for Drive, the platoon run every
+// caller (the platoon experiment, vkload, the public API, the e2e
+// tests) shares: listen, dial every member in a fixed order, establish
+// all pairwise keys concurrently, rekey, let the leavers depart, rekey
+// the survivors, and tear down.
 type DriveConfig struct {
-	// Endpoint is the transport endpoint the hub listens on and every
-	// member dials (tcp://, mem://, lora://…). Listen/Dial override it.
-	Endpoint string
-	// Listen/Dial, when both set, replace the endpoint resolution — the
-	// platoon experiment passes a pre-built lockstep medium's ends here.
-	Listen func() (transport.Listener, error)
-	Dial   func(member uint64) (transport.Conn, error)
-	// Members is the platoon size (hub excluded).
+	// Template is the scheme every end runs; each end gets its own
+	// Clone, so the template itself never runs a round.
+	Template *core.System
+	// Scenario, Seed and the template's configuration derive each
+	// member's session windows (server.SessionWindowsFor, as the fleet
+	// server does): the hub keeps the Alice side, the member the Bob
+	// side. Seed also roots the drive's own rng sub-streams (member
+	// ignition jitter, per-epoch rekey entropy).
+	Scenario trace.Scenario
+	Seed     int64
+	// Windows is each member's probing-window count (default 16, two
+	// reconciliation rounds). The hub refuses a join announcing any
+	// other count.
+	Windows int
+	// Members is the platoon size, hub excluded; member IDs are
+	// [0, Members), and the hub refuses a join from outside that range.
 	Members int
 	// Leavers marks members that depart after accepting the first group
 	// key, triggering the churn rekey.
 	Leavers map[uint64]bool
-	// Seed roots the drive's rng sub-streams (member ignition jitter,
-	// per-epoch rekey entropy).
-	Seed int64
-	// Hub configures the hub end; Hub.Resolve is required.
-	Hub HubConfig
-	// Member supplies each member's config (scheme clone + Bob windows).
-	Member func(member uint64) (MemberConfig, error)
-	// KeyWait bounds each member's wait for the next epoch, in conn
-	// time. ≤ 0 (the default) waits indefinitely — the event-driven
-	// mode a lockstep medium requires (see MemberSession.AwaitKey);
-	// Drive guarantees liveness by closing every conn once the hub's
-	// control phase ends. A positive wait must cover the other
-	// members' whole establishment phase, which precedes the first
-	// rekey.
-	KeyWait time.Duration
-	// LeaveWait is the wall-clock failsafe for the hub's churn wait
-	// (default 60s; the departures it counts are event-driven).
-	LeaveWait time.Duration
+	// Listen opens the hub's listener and Dial each member's conn (the
+	// platoon experiment passes a pre-built lockstep medium's ends). A
+	// conn that can wait in conn time (a lora conn) selects the
+	// shared-medium timing profile, any other the point-to-point one.
+	Listen func() (transport.Listener, error)
+	Dial   func(member uint64) (transport.Conn, error)
+	// Retry is the pairwise establishment ARQ policy (zero: the
+	// profile's, SharedMediumRetry on a shared medium).
+	Retry protocol.RetryPolicy
+	// Recorder receives the vk_group_* and protocol metrics (nil: none).
+	Recorder obs.Recorder
 }
 
 // DriveResult is one platoon run's accounting, built only from
@@ -909,47 +825,43 @@ type DriveResult struct {
 // starts, so on a lockstep lora medium the device creation order — and
 // with it every draw from the medium's seed — is schedule-independent.
 func Drive(cfg DriveConfig) (DriveResult, error) {
-	if cfg.Members <= 0 {
+	switch {
+	case cfg.Members <= 0:
 		return DriveResult{}, errors.New("group: drive needs at least one member")
+	case cfg.Template == nil:
+		return DriveResult{}, errors.New("group: drive needs a template scheme")
+	case cfg.Listen == nil || cfg.Dial == nil:
+		return DriveResult{}, errors.New("group: drive needs Listen and Dial")
 	}
-	if cfg.Member == nil {
-		return DriveResult{}, errors.New("group: drive needs a Member config callback")
+	if cfg.Windows <= 0 {
+		cfg.Windows = defaultWindows
 	}
-	if cfg.LeaveWait <= 0 {
-		cfg.LeaveWait = 60 * time.Second
-	}
-	// Resolve every member config before the network ignites: window
+	cfg.Recorder = obs.OrNop(cfg.Recorder)
+	// Derive every member's end before the network ignites: window
 	// synthesis is wall-clock compute, and in the medium's emulation
 	// mode a device doing compute outside a medium operation is
 	// invisible to the scheduler — the virtual clock (and with it the
 	// hub's join budget) would run hundreds of seconds ahead while the
 	// members are still building their windows. Under lockstep the
-	// order is irrelevant (the clock freezes either way), so resolving
+	// order is irrelevant (the clock freezes either way), so deriving
 	// up front is correct in both modes.
-	mcs := make([]MemberConfig, cfg.Members)
-	for i := range mcs {
-		mc, err := cfg.Member(uint64(i))
+	ends := make([]memberEnd, cfg.Members)
+	for i := range ends {
+		_, bob, err := server.SessionWindowsFor(cfg.Scenario, cfg.Template.Cfg, cfg.Seed, uint64(i), cfg.Windows, trace.Bob)
 		if err != nil {
 			return DriveResult{}, err
 		}
-		mc.Member = uint64(i)
-		mcs[i] = mc
+		ends[i] = memberEnd{scheme: cfg.Template.Clone(), windows: bob}
 	}
 
-	listen, dial := cfg.Listen, cfg.Dial
-	if listen == nil || dial == nil {
-		ep := cfg.Endpoint
-		listen = func() (transport.Listener, error) { return transport.Listen(ep) }
-		dial = func(uint64) (transport.Conn, error) { return transport.Dial(ep) }
-	}
-	l, err := listen()
+	l, err := cfg.Listen()
 	if err != nil {
 		return DriveResult{}, err
 	}
 	defer func() { _ = l.Close() }()
 	conns := make([]transport.Conn, cfg.Members)
 	for i := range conns {
-		conns[i], err = dial(uint64(i))
+		conns[i], err = cfg.Dial(uint64(i))
 		if err != nil {
 			for _, c := range conns {
 				if c != nil {
@@ -959,14 +871,15 @@ func Drive(cfg DriveConfig) (DriveResult, error) {
 			return DriveResult{}, err
 		}
 	}
-	hs, err := NewHubSession(cfg.Hub)
-	if err != nil {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		return DriveResult{}, err
+	prof := pointToPoint
+	if _, shared := conns[0].(waiter); shared {
+		prof = sharedMedium
 	}
-	defer func() { _ = hs.Close() }()
+	if (cfg.Retry != protocol.RetryPolicy{}) {
+		prof.retry = cfg.Retry
+	}
+	hs := newHubSession(cfg, prof)
+	defer hs.close()
 
 	res := DriveResult{Accepted: make(map[uint32]map[uint64]string)}
 	var resMu sync.Mutex
@@ -996,22 +909,22 @@ func Drive(cfg DriveConfig) (DriveResult, error) {
 					return
 				}
 			}
-			ms, err := JoinPlatoon(conn, mcs[member])
+			ms, err := joinPlatoon(conn, member, ends[member], prof, cfg.Recorder)
 			if err != nil {
 				_ = conn.Close()
 				return
 			}
 			leaver := cfg.Leavers[member]
 			for {
-				key, epoch, err := ms.AwaitKey(cfg.KeyWait)
+				key, epoch, err := ms.awaitKey()
 				if err != nil {
-					_ = ms.Close()
+					ms.close()
 					return
 				}
 				record(epoch, member, key)
 				secure.Wipe(key)
 				if leaver {
-					_ = ms.Leave()
+					ms.leave()
 					return
 				}
 			}
@@ -1020,30 +933,30 @@ func Drive(cfg DriveConfig) (DriveResult, error) {
 
 	// finish tears the session down on every exit path: hub byes first,
 	// then a sweep over every member conn — members wait for the next
-	// epoch indefinitely by default, so a conn that outlives the hub's
-	// control phase (a failed establishment, an early error) would
-	// strand its goroutine forever.
+	// epoch indefinitely, so a conn that outlives the hub's control
+	// phase (a failed establishment, an early error) would strand its
+	// goroutine forever.
 	finish := func() {
-		_ = hs.Close()
+		hs.close()
 		for _, c := range conns {
 			_ = c.Close()
 		}
 		wg.Wait()
 	}
 
-	outs, err := hs.Establish(l, cfg.Members)
+	outs, err := hs.establish(l, cfg.Members)
 	if err != nil {
 		finish()
 		return res, err
 	}
 	leavers := 0
 	for _, o := range outs {
-		if o.Err != nil {
-			res.Failed = append(res.Failed, o.Member)
+		if o.err != nil {
+			res.Failed = append(res.Failed, o.member)
 			continue
 		}
-		res.Established = append(res.Established, o.Member)
-		if cfg.Leavers[o.Member] {
+		res.Established = append(res.Established, o.member)
+		if cfg.Leavers[o.member] {
 			leavers++
 		}
 	}
@@ -1051,16 +964,16 @@ func Drive(cfg DriveConfig) (DriveResult, error) {
 		return rng.Stream(cfg.Seed, "group/platoon/entropy", int(epoch)).Bits(128)
 	}
 	if len(res.Established) > 0 {
-		ro, err := hs.Rekey(entropy(hs.Epoch() + 1))
+		ro, err := hs.rekey(entropy(hs.hub.Epoch() + 1))
 		if err != nil {
 			finish()
 			return res, err
 		}
 		res.Rekeys = append(res.Rekeys, ro)
 		if leavers > 0 {
-			res.LeavesSeen = hs.AwaitLeaves(leavers, cfg.LeaveWait)
-			if hs.Hub().Size() > 0 {
-				ro, err := hs.Rekey(entropy(hs.Epoch() + 1))
+			res.LeavesSeen = hs.awaitLeaves(leavers)
+			if hs.hub.Size() > 0 {
+				ro, err := hs.rekey(entropy(hs.hub.Epoch() + 1))
 				if err != nil {
 					finish()
 					return res, err
@@ -1068,8 +981,8 @@ func Drive(cfg DriveConfig) (DriveResult, error) {
 				res.Rekeys = append(res.Rekeys, ro)
 			}
 		}
-		res.FinalEpoch = hs.Epoch()
-		key := hs.GroupKey()
+		res.FinalEpoch = hs.hub.Epoch()
+		key := hs.hub.GroupKey()
 		res.HubDigest = KeyDigest(key)
 		secure.Wipe(key)
 	}

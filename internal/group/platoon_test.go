@@ -1,19 +1,19 @@
 package group
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/lora"
-	"repro/internal/pipeline"
-	"repro/internal/protocol"
+	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/transport"
 
@@ -24,13 +24,6 @@ import (
 
 // platoonSeed roots every e2e platoon test's rng sub-streams.
 const platoonSeed int64 = 91
-
-// platoonWindows matches the contention experiments' sessions: two
-// reconciliation rounds of probing material per member, so a single
-// failed round does not sink an establishment.
-const platoonWindows = 16
-
-func platoonScenario() trace.Scenario { return trace.NewScenario(channel.Urban, channel.V2I) }
 
 // platoonTemplate shares one built scheme across the e2e tests;
 // lora-key is training-free, so building it once is cheap and every
@@ -54,40 +47,19 @@ func platoonSystem(t testing.TB) *core.System {
 	return platoonTemplate.sys
 }
 
-// platoonDrive assembles the shared DriveConfig pieces: hub Resolve
-// and member configs over server.SessionWindows, cloned schemes, and
-// the given timing profile.
-func platoonDrive(t testing.TB, members int, leavers map[uint64]bool,
-	retry protocol.RetryPolicy, tick time.Duration, joinCopies int) DriveConfig {
-	t.Helper()
-	sys := platoonSystem(t)
-	sc := platoonScenario()
-	sysCfg := core.DefaultConfig()
+// platoonDrive is the e2e tests' platoon: eight members on the shared
+// lora-key template in the urban V2I scenario, with the default window
+// count and the transport's timing profile.
+func platoonDrive(t testing.TB, leavers map[uint64]bool,
+	listen func() (transport.Listener, error), dial func(member uint64) (transport.Conn, error)) DriveConfig {
 	return DriveConfig{
-		Members: members,
-		Leavers: leavers,
-		Seed:    platoonSeed,
-		Hub: HubConfig{
-			Resolve: func(member uint64, n int) (pipeline.Scheme, [][]float64, error) {
-				alice, _, err := server.SessionWindowsFor(sc, sysCfg, platoonSeed, member, n, trace.Alice)
-				return sys.Clone(), alice, err
-			},
-			Retry: retry,
-			Tick:  tick,
-		},
-		Member: func(member uint64) (MemberConfig, error) {
-			_, bob, err := server.SessionWindowsFor(sc, sysCfg, platoonSeed, member, platoonWindows, trace.Bob)
-			if err != nil {
-				return MemberConfig{}, err
-			}
-			return MemberConfig{
-				Scheme:     sys.Clone(),
-				Windows:    bob,
-				Retry:      retry,
-				Tick:       tick,
-				JoinCopies: joinCopies,
-			}, nil
-		},
+		Template: platoonSystem(t),
+		Scenario: trace.NewScenario(channel.Urban, channel.V2I),
+		Seed:     platoonSeed,
+		Members:  8,
+		Leavers:  leavers,
+		Listen:   listen,
+		Dial:     dial,
 	}
 }
 
@@ -162,28 +134,15 @@ func checkPlatoonResult(t *testing.T, res DriveResult, members int, leavers map[
 // pairwise establishments, group rekey, two member leaves, rekey of
 // the survivors — over the in-memory endpoint.
 func TestPlatoonEndToEndMem(t *testing.T) {
+	const ep = "mem://group-platoon-e2e"
 	leavers := map[uint64]bool{2: true, 5: true}
-	cfg := platoonDrive(t, 8, leavers,
-		protocol.RetryPolicy{Timeout: 50 * time.Millisecond, MaxRetries: 8},
-		20*time.Millisecond, 1)
-	cfg.Endpoint = "mem://group-platoon-e2e"
-	cfg.KeyWait = 30 * time.Second
-	cfg.LeaveWait = 20 * time.Second
-	res, err := Drive(cfg)
+	res, err := Drive(platoonDrive(t, leavers,
+		func() (transport.Listener, error) { return transport.Listen(ep) },
+		func(uint64) (transport.Conn, error) { return transport.Dial(ep) }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPlatoonResult(t, res, 8, leavers)
-}
-
-// loraPlatoonPolicy mirrors the contention experiments' virtual-second
-// ARQ profile: one protocol message is a multi-fragment burst of a
-// second or two on the air.
-var loraPlatoonPolicy = protocol.RetryPolicy{
-	Timeout:    4 * time.Second,
-	MaxTimeout: 16 * time.Second,
-	Backoff:    1.6,
-	MaxRetries: 8,
 }
 
 // runLoraPlatoon runs one 8-member platoon over a fresh lockstep
@@ -199,18 +158,9 @@ func runLoraPlatoon(t *testing.T, leavers map[uint64]bool) DriveResult {
 		t.Fatal(err)
 	}
 	defer func() { _ = m.Close() }()
-	cfg := platoonDrive(t, 8, leavers, loraPlatoonPolicy, 2*time.Second, 8)
-	cfg.Listen = func() (transport.Listener, error) { return m.Listen() }
-	cfg.Dial = func(member uint64) (transport.Conn, error) {
-		return m.Dial(fmt.Sprintf("veh-%d", member))
-	}
-	// KeyWait stays 0: on a lockstep medium the virtual clock can run
-	// arbitrarily far ahead of the hub's wall-scheduled control plane
-	// between epochs, so member waits must be event-driven — any
-	// idle-tick budget here turns Go scheduler noise into flaky member
-	// deaths. Drive's teardown conn sweep bounds the run instead.
-	cfg.LeaveWait = 60 * time.Second
-	res, err := Drive(cfg)
+	res, err := Drive(platoonDrive(t, leavers,
+		func() (transport.Listener, error) { return m.Listen() },
+		func(member uint64) (transport.Conn, error) { return m.Dial(fmt.Sprintf("veh-%d", member)) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,5 +195,72 @@ func TestPlatoonLoraDeterministic(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatalf("lockstep platoon runs diverged:\n%s\n%s", a, b)
+	}
+}
+
+// platoonLoraGolden is the SHA-256 of the JSON DriveResult of the
+// lockstep platoon TestPlatoonEndToEndLora runs (8 members, leavers 1
+// and 6), recorded before the drive configuration was folded into
+// DriveConfig. Any change to the wire traffic, the timing profile or
+// the key schedule moves it.
+const platoonLoraGolden = "043674fbc1b8ea098faee247ea5bc853b9fa17b26b22aeb55936807c08594da2"
+
+// TestPlatoonLoraGolden pins the lockstep platoon's accounting across
+// refactors; TestPlatoonLoraDeterministic only compares two runs of
+// the same tree.
+func TestPlatoonLoraGolden(t *testing.T) {
+	b, err := json.Marshal(runLoraPlatoon(t, map[uint64]bool{1: true, 6: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != platoonLoraGolden {
+		t.Fatalf("lockstep platoon digest %s, want %s\n%s", got, platoonLoraGolden, b)
+	}
+}
+
+// TestHubRefusesHostileJoins sends the hub joins the platoon cannot
+// serve — the wire cap's 4096 windows, and a member ID far outside the
+// platoon — and checks both are refused and counted as failed
+// establishments. The session has no template: a join that got past
+// the refusal to window derivation and cloning would crash the test.
+func TestHubRefusesHostileJoins(t *testing.T) {
+	const ep = "mem://group-hostile-joins"
+	reg := obs.NewRegistry()
+	hs := newHubSession(DriveConfig{Members: 4, Windows: 16, Recorder: reg}, pointToPoint)
+	defer hs.close()
+	l, err := transport.Listen(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	joins := []frame{
+		{Kind: kindJoin, Member: 1, Windows: MaxFrameWindows},
+		{Kind: kindJoin, Member: 1 << 40, Windows: 16},
+	}
+	for _, fr := range joins {
+		c, err := transport.Dial(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		if err := c.Send(encodeFrame(fr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outs, err := hs.establish(l, len(joins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if !errors.Is(o.err, ErrJoinRefused) {
+			t.Errorf("join %d: err = %v, want ErrJoinRefused", i, o.err)
+		}
+	}
+	if got := reg.Snapshot().Counters[groupEstablishFailed]; got != int64(len(joins)) {
+		t.Errorf("%s = %d, want %d", groupEstablishFailed, got, len(joins))
+	}
+	if hs.hub.Size() != 0 {
+		t.Errorf("hub admitted %d members", hs.hub.Size())
 	}
 }

@@ -13,11 +13,11 @@ import (
 // TestRekeyDeterministicAcrossJoinOrder is the regression test for the
 // map-iteration-order bug: the derivation must hash member IDs in
 // sorted order, so the same entropy + member set yields the same group
-// key regardless of join order, worker count, or map layout.
+// key regardless of join order or map layout.
 func TestRekeyDeterministicAcrossJoinOrder(t *testing.T) {
 	ids := []string{"car-4", "car-1", "car-9", "car-2", "car-7"}
-	build := func(order []string, workers int) *Hub {
-		hub := NewHub(WithWorkers(workers))
+	build := func(order []string) *Hub {
+		hub := NewHub()
 		for _, id := range order {
 			key, _ := pairwise(t, id[len(id)-1])
 			if err := hub.Join(id, key); err != nil {
@@ -28,8 +28,8 @@ func TestRekeyDeterministicAcrossJoinOrder(t *testing.T) {
 	}
 	reversed := append([]string(nil), ids...)
 	sort.Sort(sort.Reverse(sort.StringSlice(reversed)))
-	a := build(ids, 1)
-	b := build(reversed, 8)
+	a := build(ids)
+	b := build(reversed)
 	for epoch := 1; epoch <= 3; epoch++ {
 		entropy := []byte(fmt.Sprintf("entropy-%d", epoch))
 		envsA, err := a.Rekey(entropy)
@@ -53,9 +53,9 @@ func TestRekeyDeterministicAcrossJoinOrder(t *testing.T) {
 }
 
 // TestRekeyEnvelopesSorted pins the envelope ordering contract: sorted
-// member order, independent of worker count.
+// member order, independent of join order.
 func TestRekeyEnvelopesSorted(t *testing.T) {
-	hub := NewHub(WithWorkers(3))
+	hub := NewHub()
 	for _, id := range []string{"zz", "aa", "mm"} {
 		key, _ := pairwise(t, id[0])
 		if err := hub.Join(id, key); err != nil {
@@ -160,7 +160,7 @@ func rekeyOne(t *testing.T, hub *Hub, entropy []byte) Envelope {
 func TestChurnStormAccounting(t *testing.T) {
 	const members = 12
 	const storms = 6 // members that leave mid-storm
-	hub := NewHub(WithWorkers(4))
+	hub := NewHub()
 	chans := make(map[string]*secure.Channel, members)
 	initial := make([]string, 0, members)
 	for i := 0; i < members; i++ {

@@ -37,8 +37,8 @@ var goldenKeys = []struct {
 // TestDefaultSchemeGoldenKeys locks the default scheme to its
 // pre-refactor output at seed 1 (120 training windows, 6 epochs, two
 // keys per scenario). The table was captured from the last commit
-// before the pipeline-stage refactor; WithScheme("") and
-// WithScheme("vehicle-key") must both land on it.
+// before the pipeline-stage refactor; Scheme "" and "vehicle-key" must
+// both land on it.
 func TestDefaultSchemeGoldenKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains four models")

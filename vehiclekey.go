@@ -36,7 +36,7 @@ import (
 
 	"repro/internal/amplify"
 	// Blank import: registers the lora-key/han/gao scheme builders so
-	// Options.Scheme / WithScheme can name them.
+	// Options.Scheme can name them.
 	_ "repro/internal/baselines"
 	"repro/internal/channel"
 	"repro/internal/core"
@@ -92,19 +92,22 @@ type Options struct {
 	System core.Config // advanced pipeline knobs; zero values take defaults
 
 	// Medium, when non-nil, attaches a shared LoRa medium to the session:
-	// the config is normalized and validated during SetupWith and the built
-	// Medium is available from Session.Medium, with its MAC counters
-	// routed into Recorder. Nil (the default) keeps the session
-	// point-to-point, as in the paper. See WithMedium.
+	// its contention parameters (channels, capture margin, CAD, duty
+	// cycle, dwell) are normalized and validated during SetupWith, zero
+	// fields take the documented defaults, and the medium seed defaults
+	// to the session seed. The built Medium is available from
+	// Session.Medium, with its MAC counters routed into Recorder. Nil
+	// (the default) keeps the session point-to-point, as in the paper.
 	Medium *MediumConfig
 
-	// Recorder receives the session's metrics (nil: no recording). See
-	// WithRecorder; recording never influences results.
+	// Recorder receives the session's metrics — pipeline phase timings,
+	// key counters (nil: no recording). Recording is one-way: nothing
+	// read from the recorder influences results, so an instrumented run
+	// stays bit-identical to an uninstrumented one with the same seed.
 	Recorder Recorder
-	// Logger receives coarse progress lines (nil: silent).
+	// Logger receives coarse progress lines — training done, keys
+	// generated (nil: silent).
 	Logger *log.Logger
-	// Observer receives lifecycle callbacks (nil: none).
-	Observer SessionObserver
 }
 
 // Session is a trained Vehicle-Key deployment bound to one simulated
@@ -122,15 +125,8 @@ type Session struct {
 }
 
 // SetupWith builds the simulated link, collects training data, and
-// trains the prediction and reconciliation models. Functional options
-// apply over the base struct, in order: SetupWith(Options{}, WithSeed(7))
-// is equivalent to SetupWith(Options{Seed: 7}).
-func SetupWith(opts Options, extra ...Option) (*Session, error) {
-	for _, o := range extra {
-		if o != nil {
-			o(&opts)
-		}
-	}
+// trains the prediction and reconciliation models.
+func SetupWith(opts Options) (*Session, error) {
 	if opts.Environment == 0 {
 		opts.Environment = Urban
 	}
@@ -200,9 +196,6 @@ func SetupWith(opts Options, extra ...Option) (*Session, error) {
 		opts.Logger.Printf("vehiclekey: trained (seed=%d epochs=%d windows=%d)",
 			opts.Seed, opts.TrainingEpochs, opts.TrainingWindows)
 	}
-	if opts.Observer != nil {
-		opts.Observer.SessionTrained(opts.Seed, opts.TrainingEpochs)
-	}
 	return &Session{opts: opts, sys: sys, test: test, src: src, rec: rec, medium: medium}, nil
 }
 
@@ -232,8 +225,8 @@ func (s *Session) System() *core.System { return s.sys }
 // Recorder).
 func (s *Session) Medium() *Medium { return s.medium }
 
-// Schemes lists the registered scheme names accepted by Options.Scheme
-// and WithScheme, sorted.
+// Schemes lists the registered scheme names accepted by Options.Scheme,
+// sorted.
 func Schemes() []string { return core.SchemeNames() }
 
 // Windows returns up to n held-out aligned measurement windows
@@ -269,9 +262,6 @@ func (s *Session) GenerateKeys(n int) ([]Key, Metrics, error) {
 			s.rec.Add(obs.SessionKeys, 1)
 			if k.Agreed {
 				s.rec.Add(obs.SessionKeysAgreed, 1)
-			}
-			if s.opts.Observer != nil {
-				s.opts.Observer.KeyGenerated(k)
 			}
 		}
 	}
