@@ -252,7 +252,7 @@ func freeSpace1m(f float64) float64 {
 
 // Model is a ground-truth channel process for one Alice–Bob link plus the
 // correlated-but-distinct processes observed by an attacker Eve. All gains
-// are in dB relative to transmit power; RSSI(t) = TxPowerDBm + GainDB(t).
+// are in dB relative to transmit power; RSSI(t) = TxPowerDBm + gain(t).
 //
 // Model is not safe for concurrent use: derive independent models per
 // goroutine from independent rng.Sources.
@@ -275,6 +275,8 @@ type Model struct {
 	// independent-fading structure on the Alice→Eve path.
 	eveFarFader  *Fader
 	eveFarShadow *ShadowProcess
+
+	buf []float64 // scratch for the gain forms
 }
 
 // NewModel builds a channel model for cfg, normalizing it first. All
@@ -299,29 +301,31 @@ func NewModel(cfg Config, src *rng.Source) *Model {
 // Config returns the normalized configuration the model was built with.
 func (m *Model) Config() Config { return m.cfg }
 
-// GainDB returns the reciprocal Alice↔Bob channel gain at time t seconds.
-func (m *Model) GainDB(t float64) float64 {
-	d := m.mob.Distance(t)
-	pl := m.pathLossDB(d)
-	sh := m.shadow.At(m.mob.RoutePosition(t))
-	ss := m.fader.EnvelopeDB(t)
-	return -pl + sh + ss
+// GainsDB writes the reciprocal Alice↔Bob channel gain at each time
+// ts[i] seconds into out[i]. out must be at least as long as ts.
+func (m *Model) GainsDB(ts, out []float64) {
+	m.fader.envelopesDB(ts, out, m.scratch(len(ts)))
+	for i, t := range ts {
+		d := m.mob.Distance(t)
+		pl := m.pathLossDB(d)
+		sh := m.shadow.At(m.mob.RoutePosition(t))
+		out[i] = -pl + sh + out[i]
+	}
 }
 
-// RSSIdBm returns the noise-free received power on the legitimate link.
-func (m *Model) RSSIdBm(t float64) float64 { return m.cfg.TxPowerDBm + m.GainDB(t) }
-
-// EveImitateGainDB returns the gain of the Bob→Eve channel for an Eve who
-// replays Alice's route EveOffsetM behind her: identical path loss trend,
-// shadowing sampled slightly earlier along the route, independent
-// small-scale fading.
-func (m *Model) EveImitateGainDB(t float64) float64 {
-	d := m.mob.Distance(t) + m.cfg.EveOffsetM
-	pl := m.pathLossDB(d)
-	pos := m.mob.RoutePosition(t)
-	sh := m.mixedShadow(m.shadow.At(pos-m.cfg.EveOffsetM), m.eveShadow.At(pos))
-	ss := m.eveFader.EnvelopeDB(t)
-	return -pl + sh + ss
+// EveImitateGainsDB writes the gain of the Bob→Eve channel at each time
+// ts[i] into out[i], for an Eve who replays Alice's route EveOffsetM
+// behind her: identical path loss trend, shadowing sampled slightly
+// earlier along the route, independent small-scale fading.
+func (m *Model) EveImitateGainsDB(ts, out []float64) {
+	m.eveFader.envelopesDB(ts, out, m.scratch(len(ts)))
+	for i, t := range ts {
+		d := m.mob.Distance(t) + m.cfg.EveOffsetM
+		pl := m.pathLossDB(d)
+		pos := m.mob.RoutePosition(t)
+		sh := m.mixedShadow(m.shadow.At(pos-m.cfg.EveOffsetM), m.eveShadow.At(pos))
+		out[i] = -pl + sh + out[i]
+	}
 }
 
 // mixedShadow blends the legitimate link's shadowing with Eve's own so the
@@ -331,16 +335,28 @@ func (m *Model) mixedShadow(legit, own float64) float64 {
 	return m.eveMix*legit + math.Sqrt(1-m.eveMix*m.eveMix)*own
 }
 
-// EveEavesdropGainDB returns the gain of the Alice→Eve channel for an Eve
-// parked EveOffsetM from Bob: similar distance, but fully independent
-// shadowing and fading (she is far beyond λ/2 from Bob's antenna).
-func (m *Model) EveEavesdropGainDB(t float64) float64 {
-	d := m.mob.Distance(t) + m.cfg.EveOffsetM
-	pl := m.pathLossDB(d)
-	pos := m.mob.RoutePosition(t)
-	sh := m.mixedShadow(m.shadow.At(pos), m.eveFarShadow.At(pos))
-	ss := m.eveFarFader.EnvelopeDB(t)
-	return -pl + sh + ss
+// EveEavesdropGainsDB writes the gain of the Alice→Eve channel at each
+// time ts[i] into out[i], for an Eve parked EveOffsetM from Bob: similar
+// distance, but fully independent shadowing and fading (she is far
+// beyond λ/2 from Bob's antenna).
+func (m *Model) EveEavesdropGainsDB(ts, out []float64) {
+	m.eveFarFader.envelopesDB(ts, out, m.scratch(len(ts)))
+	for i, t := range ts {
+		d := m.mob.Distance(t) + m.cfg.EveOffsetM
+		pl := m.pathLossDB(d)
+		pos := m.mob.RoutePosition(t)
+		sh := m.mixedShadow(m.shadow.At(pos), m.eveFarShadow.At(pos))
+		out[i] = -pl + sh + out[i]
+	}
+}
+
+// scratch returns the model's reusable buffer for n values (the
+// quadrature the envelopes are formed from).
+func (m *Model) scratch(n int) []float64 {
+	if cap(m.buf) < n {
+		m.buf = make([]float64, n)
+	}
+	return m.buf[:n]
 }
 
 // Distance reports the Alice–Bob separation at time t.

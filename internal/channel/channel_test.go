@@ -44,12 +44,16 @@ func TestWavelengthAndCoherence(t *testing.T) {
 
 func TestFaderRayleighStatistics(t *testing.T) {
 	f := NewFader(20, 0, rng.New(1))
-	var sum, sum2 float64
 	const n = 20000
-	for i := 0; i < n; i++ {
-		e := f.Envelope(float64(i) * 0.01)
+	ts, re, im := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range ts {
+		ts[i] = float64(i) * 0.01
+	}
+	f.Gains(ts, re, im)
+	var sum float64
+	for i := range ts {
+		e := math.Hypot(re[i], im[i])
 		sum += e * e
-		sum2 += e
 	}
 	if power := sum / n; math.Abs(power-1) > 0.15 {
 		t.Errorf("mean envelope power = %v, want ~1", power)
@@ -60,11 +64,11 @@ func TestFaderTemporalCorrelation(t *testing.T) {
 	// Correlation at lag ≪ 1/fd should be high; at lag ≫ 1/fd low.
 	f := NewFader(20, 0, rng.New(2))
 	const n = 4000
-	a := make([]float64, n)
-	for i := range a {
-		re, _ := f.Gain(float64(i) * 0.002)
-		a[i] = re
+	ts, a, im := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range ts {
+		ts[i] = float64(i) * 0.002
 	}
+	f.Gains(ts, a, im)
 	short := autocorr(a, 1)   // 2 ms: fd·τ = 0.04, J0 ≈ 0.98
 	long := autocorr(a, 1000) // 2 s: far past the first J0 zero
 	if short < 0.3 {
@@ -132,9 +136,13 @@ func TestChannelReciprocity(t *testing.T) {
 	// The ground-truth gain process is one function of time — both link
 	// directions read the same value by construction.
 	m := NewModel(DefaultConfig(Urban, V2V), rng.New(7))
-	for i := 0; i < 100; i++ {
-		tt := float64(i) * 0.37
-		if m.GainDB(tt) != m.GainDB(tt) {
+	ts, a, b := make([]float64, 100), make([]float64, 100), make([]float64, 1)
+	for i := range ts {
+		ts[i] = float64(i) * 0.37
+	}
+	m.GainsDB(ts, a)
+	for i := len(ts) - 1; i >= 0; i-- {
+		if m.GainsDB(ts[i:i+1], b); b[0] != a[i] {
 			t.Fatal("gain must be deterministic in t")
 		}
 	}
@@ -143,13 +151,14 @@ func TestChannelReciprocity(t *testing.T) {
 func TestEveChannelsDiffer(t *testing.T) {
 	m := NewModel(DefaultConfig(Urban, V2V), rng.New(8))
 	const n = 500
-	var legit, imitate, eaves []float64
-	for i := 0; i < n; i++ {
-		tt := float64(i) * 0.1
-		legit = append(legit, m.GainDB(tt))
-		imitate = append(imitate, m.EveImitateGainDB(tt))
-		eaves = append(eaves, m.EveEavesdropGainDB(tt))
+	ts := make([]float64, n)
+	for i := range ts {
+		ts[i] = float64(i) * 0.1
 	}
+	legit, imitate, eaves := make([]float64, n), make([]float64, n), make([]float64, n)
+	m.GainsDB(ts, legit)
+	m.EveImitateGainsDB(ts, imitate)
+	m.EveEavesdropGainsDB(ts, eaves)
 	ci, _ := mathx.Pearson(legit, imitate)
 	ce, _ := mathx.Pearson(legit, eaves)
 	if ci > 0.995 || ce > 0.995 {

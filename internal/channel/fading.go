@@ -55,42 +55,35 @@ func NewFader(fd, k float64, src *rng.Source) *Fader {
 	return f
 }
 
-// Gain returns the complex channel gain at time t seconds. The scatter
-// sums run through mathx.CosSum in path order, so each quadrature is
-// bit-identical to summing math.Cos(2π·f_n·t + φ_n) term by term.
-func (f *Fader) Gain(t float64) (re, im float64) {
-	var argI, argQ [faderPaths]float64
-	for n, omega := range f.omega {
-		w := omega * t
-		argI[n] = w + f.phaseI[n]
-		argQ[n] = w + f.phaseQ[n]
-	}
-	re = mathx.CosSum(argI[:]) * f.scale
-	im = mathx.CosSum(argQ[:]) * f.scale
+// Gains writes the complex channel gain at each time ts[i] seconds into
+// re[i] and im[i]. The scatter sums run through mathx.OscBank, so each
+// quadrature is bit-identical to summing math.Cos(2π·f_n·t + φ_n) term
+// by term in path order. re and im must be at least as long as ts.
+func (f *Fader) Gains(ts, re, im []float64) {
+	mathx.OscBank(f.omega[:], f.phaseI[:], f.scale, ts, re)
+	mathx.OscBank(f.omega[:], f.phaseQ[:], f.scale, ts, im)
 	if f.k > 0 {
 		a := math.Sqrt(f.k / (f.k + 1))
-		w := 2*math.Pi*f.losDoppler*t + f.losPhase
-		re += a * math.Cos(w)
-		im += a * math.Sin(w)
+		for i, t := range ts {
+			w := 2*math.Pi*f.losDoppler*t + f.losPhase
+			re[i] += a * math.Cos(w)
+			im[i] += a * math.Sin(w)
+		}
 	}
-	return re, im
 }
 
-// Envelope returns |gain| at time t.
-func (f *Fader) Envelope(t float64) float64 {
-	re, im := f.Gain(t)
-	return math.Hypot(re, im)
-}
-
-// EnvelopeDB returns the envelope in dB, floored at −60 dB to keep deep
-// fades finite (receivers lose the packet long before that anyway).
-func (f *Fader) EnvelopeDB(t float64) float64 {
-	e := f.Envelope(t)
-	db := 20 * log10(e)
-	if db < -60 {
-		db = -60
+// envelopesDB writes the envelope |gain| in dB at each time ts[i] into
+// out[i], floored at −60 dB to keep deep fades finite (receivers lose
+// the packet long before that anyway). im is scratch as long as ts.
+func (f *Fader) envelopesDB(ts, out, im []float64) {
+	f.Gains(ts, out, im)
+	for i, re := range out[:len(ts)] {
+		db := 20 * log10(math.Hypot(re, im[i]))
+		if db < -60 {
+			db = -60
+		}
+		out[i] = db
 	}
-	return db
 }
 
 // Doppler returns the configured maximum Doppler shift in Hz.

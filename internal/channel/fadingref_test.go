@@ -7,7 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-// The oscillator bank as it was before Gain moved onto mathx.CosSum:
+// The oscillator bank as it was before it moved onto mathx's cosine:
 // per-path Doppler frequencies, the argument formed as 2π·f_n·t, and one
 // math.Cos per term. It draws from its source exactly as NewFader does,
 // so a reference and a production fader built from equal seeds must
@@ -61,9 +61,11 @@ func (f *refFader) Gain(t float64) (re, im float64) {
 
 // TestFaderGainMatchesReference: for every environment/link preset's
 // Doppler and K-factor (urban Rayleigh, rural Rician) and several seeds,
-// Gain equals the per-term math.Cos loop to the bit, from t = 0 through
+// Gains equals the per-term math.Cos loop to the bit, from t = 0 through
 // times whose oscillator arguments pass 2^29, where the kernel hands
-// over to math.Cos's Payne–Hanek reduction.
+// over to math.Cos's Payne–Hanek reduction. The times go through Gains
+// whole and in runs of 1 to 9, so one-element calls and every batch
+// tail are covered.
 func TestFaderGainMatchesReference(t *testing.T) {
 	ts := []float64{0, 1e-9, 0.0125, 1, 3.7, 60, 1e3}
 	for x := 1e3; x < 1e9; x *= 1.37 {
@@ -73,6 +75,7 @@ func TestFaderGainMatchesReference(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		ts = append(ts, jitter.Uniform(0, 600))
 	}
+	re, im := make([]float64, len(ts)), make([]float64, len(ts))
 	for _, env := range []Environment{Urban, Rural} {
 		for _, link := range []LinkType{V2V, V2I} {
 			cfg := DefaultConfig(env, link)
@@ -84,16 +87,26 @@ func TestFaderGainMatchesReference(t *testing.T) {
 			past := false
 			for seed := int64(1); seed <= 8; seed++ {
 				got, want := NewFader(fd, k, rng.New(seed)), newRefFader(fd, k, rng.New(seed))
-				for _, tt := range ts {
-					gr, gi := got.Gain(tt)
-					wr, wi := want.Gain(tt)
-					if math.Float64bits(gr) != math.Float64bits(wr) || math.Float64bits(gi) != math.Float64bits(wi) {
-						t.Fatalf("%v %v seed %d: Gain(%v) = (%v, %v), want (%v, %v)", env, link, seed, tt, gr, gi, wr, wi)
-					}
-					for n := range want.freq {
-						past = past || math.Abs(2*math.Pi*want.freq[n]*tt) >= 1<<29
+				check := func(how string) {
+					for i, tt := range ts {
+						wr, wi := want.Gain(tt)
+						if math.Float64bits(re[i]) != math.Float64bits(wr) || math.Float64bits(im[i]) != math.Float64bits(wi) {
+							t.Fatalf("%v %v seed %d, %s: gain at %v = (%v, %v), want (%v, %v)", env, link, seed, how, tt, re[i], im[i], wr, wi)
+						}
+						for n := range want.freq {
+							past = past || math.Abs(2*math.Pi*want.freq[n]*tt) >= 1<<29
+						}
 					}
 				}
+				got.Gains(ts, re, im)
+				check("whole")
+				clear(re)
+				clear(im)
+				for lo, run := 0, 1; lo < len(ts); lo, run = lo+run, run%9+1 {
+					hi := min(lo+run, len(ts))
+					got.Gains(ts[lo:hi], re[lo:hi], im[lo:hi])
+				}
+				check("in runs")
 			}
 			if !past {
 				t.Fatalf("%v %v: no oscillator argument reached 2^29", env, link)

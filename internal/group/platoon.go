@@ -177,6 +177,7 @@ func newHubSession(cfg DriveConfig, prof profile) *hubSession {
 // establishOutcome reports one accepted conn's pairwise establishment.
 type establishOutcome struct {
 	member uint64
+	named  bool  // a join announced member, even one the hub refused
 	err    error // nil when the member joined the group
 }
 
@@ -217,12 +218,12 @@ func (s *hubSession) establish(l transport.Listener, n int) ([]establishOutcome,
 // On failure the conn is closed, which also unblocks the member side.
 func (s *hubSession) establishOne(conn transport.Conn) establishOutcome {
 	started := time.Now()
+	member, named, err := s.awaitJoin(conn)
 	fail := func(err error) establishOutcome {
 		_ = conn.Close()
 		s.rec.Add(groupEstablishFailed, 1)
-		return establishOutcome{err: err}
+		return establishOutcome{member: member, named: named, err: err}
 	}
-	member, err := s.awaitJoin(conn)
 	if err != nil {
 		return fail(err)
 	}
@@ -275,15 +276,16 @@ func (s *hubSession) establishOne(conn transport.Conn) establishOutcome {
 	s.rec.Add(groupEstablishOK, 1)
 	//vklint:ignore detrand -- wall time feeds only the metrics recorder, never a report
 	s.rec.Observe(obs.GroupEstablishSeconds, time.Since(started).Seconds())
-	return establishOutcome{member: member}
+	return establishOutcome{member: member, named: true}
 }
 
 // awaitJoin reads frames off a fresh conn until a join arrives, within
-// the join tick budget, and returns the joining member's ID. Non-join
-// deliveries (join copies on lossy links, early protocol traffic) are
-// skipped. A join from outside the platoon, or announcing a window
-// count other than the platoon's, is refused unwelcomed.
-func (s *hubSession) awaitJoin(conn transport.Conn) (uint64, error) {
+// the join tick budget, and returns the joining member's ID; named
+// reports whether a join arrived at all. Non-join deliveries (join
+// copies on lossy links, early protocol traffic) are skipped. A join
+// from outside the platoon, or announcing a window count other than
+// the platoon's, is refused unwelcomed, with the member it announced.
+func (s *hubSession) awaitJoin(conn transport.Conn) (member uint64, named bool, err error) {
 	for budget := int(joinWait / s.prof.tick); budget > 0; {
 		data, err := conn.RecvTimeout(s.prof.tick)
 		if errors.Is(err, transport.ErrTimeout) {
@@ -291,14 +293,14 @@ func (s *hubSession) awaitJoin(conn transport.Conn) (uint64, error) {
 			continue
 		}
 		if err != nil {
-			return 0, fmt.Errorf("group: await join: %w", err)
+			return 0, false, fmt.Errorf("group: await join: %w", err)
 		}
 		fr, err := decodeFrame(data)
 		if err != nil || fr.Kind != kindJoin {
 			continue
 		}
 		if fr.Member >= uint64(s.cfg.Members) || fr.Windows != s.cfg.Windows {
-			return 0, fmt.Errorf("%w: member %d announcing %d windows (platoon: %d members, %d windows)",
+			return fr.Member, true, fmt.Errorf("%w: member %d announcing %d windows (platoon: %d members, %d windows)",
 				ErrJoinRefused, fr.Member, fr.Windows, s.cfg.Members, s.cfg.Windows)
 		}
 		// Welcome the member so it stops retransmitting its join and
@@ -306,9 +308,9 @@ func (s *hubSession) awaitJoin(conn transport.Conn) (uint64, error) {
 		// member's bounded retries; leftover join duplicates are skipped
 		// by the protocol layer as ARQ garbage.
 		_ = conn.Send(encodeFrame(frame{Kind: kindWelcome, Member: fr.Member}))
-		return fr.Member, nil
+		return fr.Member, true, nil
 	}
-	return 0, errors.New("group: no join before deadline")
+	return 0, false, errors.New("group: no join before deadline")
 }
 
 // linkLoop owns a member's conn after establishment. It is the only
@@ -805,9 +807,13 @@ type DriveConfig struct {
 // digests — never medium timing, so lockstep runs compare byte-for-
 // byte across parallelism levels.
 type DriveResult struct {
-	// Established and Failed partition the members by pairwise outcome.
+	// Established and Failed partition the members whose joins arrived
+	// by pairwise outcome; a refused join's announced ID counts as
+	// failed. Unjoined counts accepted conns that never announced a
+	// member (no join before the deadline, or a dead conn).
 	Established []uint64
 	Failed      []uint64
+	Unjoined    int `json:",omitempty"`
 	// Rekeys records each rekey wave's fan-out accounting.
 	Rekeys []RekeyOutcome
 	// LeavesSeen is how many departures the hub processed.
@@ -818,6 +824,21 @@ type DriveResult struct {
 	// Accepted maps epoch → member → group-key digest, as observed by
 	// the members themselves.
 	Accepted map[uint32]map[uint64]string
+}
+
+// tally sorts establishment outcomes into Established, Failed and
+// Unjoined.
+func (res *DriveResult) tally(outs []establishOutcome) {
+	for _, o := range outs {
+		switch {
+		case !o.named:
+			res.Unjoined++
+		case o.err != nil:
+			res.Failed = append(res.Failed, o.member)
+		default:
+			res.Established = append(res.Established, o.member)
+		}
+	}
 }
 
 // Drive runs one complete platoon session and returns its accounting.
@@ -949,14 +970,10 @@ func Drive(cfg DriveConfig) (DriveResult, error) {
 		finish()
 		return res, err
 	}
+	res.tally(outs)
 	leavers := 0
-	for _, o := range outs {
-		if o.err != nil {
-			res.Failed = append(res.Failed, o.member)
-			continue
-		}
-		res.Established = append(res.Established, o.member)
-		if cfg.Leavers[o.member] {
+	for _, m := range res.Established {
+		if cfg.Leavers[m] {
 			leavers++
 		}
 	}

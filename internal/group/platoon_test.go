@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -222,8 +223,10 @@ func TestPlatoonLoraGolden(t *testing.T) {
 // TestHubRefusesHostileJoins sends the hub joins the platoon cannot
 // serve — the wire cap's 4096 windows, and a member ID far outside the
 // platoon — and checks both are refused and counted as failed
-// establishments. The session has no template: a join that got past
-// the refusal to window derivation and cloning would crash the test.
+// establishments under the members they announced, while a conn that
+// hangs up without a join is counted as unjoined, not as member 0.
+// The session has no template: a join that got past the refusal to
+// window derivation and cloning would crash the test.
 func TestHubRefusesHostileJoins(t *testing.T) {
 	const ep = "mem://group-hostile-joins"
 	reg := obs.NewRegistry()
@@ -248,17 +251,27 @@ func TestHubRefusesHostileJoins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, err := hs.establish(l, len(joins))
+	silent, err := transport.Dial(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = silent.Close()
+	outs, err := hs.establish(l, len(joins)+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range outs {
-		if !errors.Is(o.err, ErrJoinRefused) {
+		if o.named && !errors.Is(o.err, ErrJoinRefused) {
 			t.Errorf("join %d: err = %v, want ErrJoinRefused", i, o.err)
 		}
 	}
-	if got := reg.Snapshot().Counters[groupEstablishFailed]; got != int64(len(joins)) {
-		t.Errorf("%s = %d, want %d", groupEstablishFailed, got, len(joins))
+	var res DriveResult
+	res.tally(outs)
+	if want := []uint64{1, 1 << 40}; !slices.Equal(res.Failed, want) || len(res.Established) != 0 || res.Unjoined != 1 {
+		t.Errorf("established %v, failed %v, unjoined %d; want none, %v, 1", res.Established, res.Failed, res.Unjoined, want)
+	}
+	if got := reg.Snapshot().Counters[groupEstablishFailed]; got != int64(len(joins)+1) {
+		t.Errorf("%s = %d, want %d", groupEstablishFailed, got, len(joins)+1)
 	}
 	if hs.hub.Size() != 0 {
 		t.Errorf("hub admitted %d members", hs.hub.Size())

@@ -208,6 +208,16 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		if !isSourceFile(e) {
 			continue
 		}
+		// Only the files the go command builds for this platform: file
+		// name suffixes (_amd64.go) and //go:build lines select
+		// between per-architecture definitions.
+		ok, err := build.Default.MatchFile(abs, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if !ok {
+			continue
+		}
 		path := filepath.Join(abs, e.Name())
 		f, err := parser.ParseFile(l.Fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {

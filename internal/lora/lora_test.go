@@ -2,6 +2,7 @@ package lora
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -85,7 +86,11 @@ func TestValidate(t *testing.T) {
 
 func TestTransceiverReceive(t *testing.T) {
 	tr := NewTransceiver(DraginoLoRaShield, rng.New(1))
-	rssiAt := func(tt float64) float64 { return -80 + tt } // ramp
+	rssiAt := func(ts, out []float64) { // ramp
+		for i, tt := range ts {
+			out[i] = -80 + tt
+		}
+	}
 	rec := tr.Receive(rssiAt, 0, 1.7)
 	if len(rec.RRSSI) < 100 {
 		t.Fatalf("expected ≥100 register reads for 1.7 s airtime, got %d", len(rec.RRSSI))
@@ -104,7 +109,11 @@ func TestTransceiverReceive(t *testing.T) {
 func TestTransceiverBiasIsStable(t *testing.T) {
 	tr := NewTransceiver(MultiTechXDot, rng.New(2))
 	b1 := tr.GainBiasDB()
-	tr.Receive(func(float64) float64 { return -70 }, 0, 0.3)
+	tr.Receive(func(ts, out []float64) {
+		for i := range ts {
+			out[i] = -70
+		}
+	}, 0, 0.3)
 	if tr.GainBiasDB() != b1 {
 		t.Error("hardware bias must be constant per unit")
 	}
@@ -132,12 +141,49 @@ func TestDeviceStrings(t *testing.T) {
 	}
 }
 
-// TestReceiveRangeMatchesReceive: a ranged receive returns exactly the
-// full reception's reads [lo, hi), evaluates the channel only for those
-// reads, and leaves the unit's random stream where a full Receive would
-// (the next OpDelay is bit-identical).
+// testRSSI is a smooth synthetic channel in dBm, and batched its
+// slice form.
+func testRSSI(tt float64) float64 { return -90 + 12*math.Sin(7*tt) + 3*math.Cos(41*tt) }
+
+func batched(rssiAt func(float64) float64) func(ts, out []float64) {
+	return func(ts, out []float64) {
+		for i, tt := range ts {
+			out[i] = rssiAt(tt)
+		}
+	}
+}
+
+// TestReceiveMatchesPerReadLoop: Receive, which evaluates the channel
+// once for all of a reception's smoothing taps, equals the per-read
+// loop that queries each tap in turn and then draws the read's noise.
+func TestReceiveMatchesPerReadLoop(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		ref := NewTransceiver(DraginoLoRaShield, rng.New(seed))
+		unit := NewTransceiver(DraginoLoRaShield, rng.New(seed))
+		for rx, at := 0, 0.5; rx < 3; rx, at = rx+1, at+1.9 {
+			var want []float64
+			for i := range ref.Reads(1.712) {
+				ts := ref.readTime(at, i)
+				var sum float64
+				for k := 0; k < rssiSmoothingTaps; k++ {
+					sum += testRSSI(ts - RSSISmoothing*float64(k)/float64(rssiSmoothingTaps))
+				}
+				v := sum/rssiSmoothingTaps + ref.gainBiasDB + ref.src.Normal(0, ref.prof.noiseStdDB)
+				want = append(want, math.Round(v/ref.prof.rssiStepDB)*ref.prof.rssiStepDB)
+			}
+			if got := unit.Receive(batched(testRSSI), at, 1.712).RRSSI; !sameBits(got, want) {
+				t.Fatalf("seed %d reception %d: reads differ from the per-read loop", seed, rx)
+			}
+		}
+	}
+}
+
+// TestReceiveRangeMatchesReceive: a ranged receive appends exactly the
+// full reception's reads [lo, hi) to dst, evaluates the channel only at
+// those reads' taps, in one call, and leaves the unit's random stream
+// where a full Receive would (the next OpDelay is bit-identical).
 func TestReceiveRangeMatchesReceive(t *testing.T) {
-	rssiAt := func(tt float64) float64 { return -90 + 12*math.Sin(7*tt) + 3*math.Cos(41*tt) }
+	rssiAt := batched(testRSSI)
 	const start, airtime = 3.25, 1.712
 	n := NewTransceiver(DraginoLoRaShield, rng.New(9)).Reads(airtime)
 	for _, r := range []struct{ lo, hi int }{
@@ -147,9 +193,14 @@ func TestReceiveRangeMatchesReceive(t *testing.T) {
 		full := NewTransceiver(DraginoLoRaShield, rng.New(9))
 		part := NewTransceiver(DraginoLoRaShield, rng.New(9))
 		want := full.Receive(rssiAt, start, airtime).RRSSI
-		calls := 0
-		counted := func(tt float64) float64 { calls++; return rssiAt(tt) }
-		got := part.ReceiveRange(counted, start, airtime, r.lo, r.hi)
+		calls, taps := 0, 0
+		counted := func(ts, out []float64) { calls++; taps += len(ts); rssiAt(ts, out) }
+		prefix := []float64{-1, -2}
+		got := part.ReceiveRange(slices.Clone(prefix), counted, start, airtime, r.lo, r.hi)
+		if !sameBits(got[:len(prefix)], prefix) {
+			t.Fatalf("[%d,%d): dst's contents were overwritten", r.lo, r.hi)
+		}
+		got = got[len(prefix):]
 		lo, hi := min(max(r.lo, 0), n), min(max(r.hi, 0), n)
 		if len(got) != hi-lo {
 			t.Fatalf("[%d,%d): %d reads, want %d", r.lo, r.hi, len(got), hi-lo)
@@ -159,8 +210,8 @@ func TestReceiveRangeMatchesReceive(t *testing.T) {
 				t.Fatalf("[%d,%d): read %d = %v, want %v", r.lo, r.hi, lo+i, v, want[lo+i])
 			}
 		}
-		if calls != rssiSmoothingTaps*(hi-lo) {
-			t.Errorf("[%d,%d): channel evaluated %d times, want %d", r.lo, r.hi, calls, rssiSmoothingTaps*(hi-lo))
+		if taps != rssiSmoothingTaps*(hi-lo) || calls != min(hi-lo, 1) {
+			t.Errorf("[%d,%d): channel evaluated at %d times in %d calls, want %d in %d", r.lo, r.hi, taps, calls, rssiSmoothingTaps*(hi-lo), min(hi-lo, 1))
 		}
 		if a, b := full.OpDelay(), part.OpDelay(); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("[%d,%d): next OpDelay %v, want %v", r.lo, r.hi, b, a)
@@ -179,7 +230,7 @@ func TestReceiveRangeMatchesReceive(t *testing.T) {
 			lo := pick.Intn(n+8) - 4
 			hi := lo + pick.Intn(n/2+8) - 4 // empty when hi ≤ lo
 			want := always.Receive(rssiAt, at, airtime).RRSSI
-			got := owing.ReceiveRange(rssiAt, at, airtime, lo, hi)
+			got := owing.ReceiveRange(nil, rssiAt, at, airtime, lo, hi)
 			lo = min(max(lo, 0), n)
 			if len(got) > 0 && !sameBits(got, want[lo:lo+len(got)]) {
 				t.Fatalf("trial %d: ranged reads from %d differ from the full reception's", trial, lo)

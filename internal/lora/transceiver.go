@@ -2,6 +2,7 @@ package lora
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/mathx"
 	"repro/internal/rng"
@@ -36,10 +37,14 @@ type Transceiver struct {
 	interval   float64
 
 	// owed counts read-noise draws that ReceiveRange skipped. They are
-	// taken, in order, before the unit's next draw (measure or OpDelay),
+	// taken, in order, before the unit's next draw (a read or OpDelay),
 	// so every draw sees the stream it would have if each read had drawn
 	// in turn.
 	owed int
+
+	// buf holds one ranged receive's smoothing-tap times and the
+	// channel values at them, reused across receptions.
+	buf []float64
 }
 
 // NewTransceiver creates a transceiver of the given device type whose
@@ -81,21 +86,6 @@ func (t *Transceiver) settle() {
 	}
 }
 
-// measure performs one RSSI register read at time ts: the chip-smoothed
-// channel power plus this unit's bias, read noise, and register
-// quantization.
-func (t *Transceiver) measure(rssiAt func(t float64) float64, ts float64) float64 {
-	var sum float64
-	for k := 0; k < rssiSmoothingTaps; k++ {
-		back := RSSISmoothing * float64(k) / float64(rssiSmoothingTaps)
-		sum += rssiAt(ts - back)
-	}
-	t.settle()
-	v := sum/rssiSmoothingTaps + t.gainBiasDB + t.src.Normal(0, t.prof.noiseStdDB)
-	step := t.prof.rssiStepDB
-	return math.Round(v/step) * step
-}
-
 // Reception is the result of receiving one LoRa packet: the stream of
 // instantaneous register RSSI reads (rRSSI) taken while the packet was on
 // the air, and their packet average (pRSSI).
@@ -124,16 +114,16 @@ func (t *Transceiver) readTime(start float64, i int) float64 {
 }
 
 // Receive simulates receiving one packet that is on the air during
-// [start, start+airtime). rssiAt must return the true (noise-free)
-// received power in dBm at an absolute time; it is typically
-// channel.Model.RSSIdBm composed with the peer's transmit power.
-func (t *Transceiver) Receive(rssiAt func(t float64) float64, start, airtime float64) Reception {
+// [start, start+airtime). rssiAt must write the true (noise-free)
+// received power in dBm at each absolute time ts[i] into out[i]; it is
+// typically a channel.Model gain form plus the peer's transmit power.
+func (t *Transceiver) Receive(rssiAt func(ts, out []float64), start, airtime float64) Reception {
 	n := t.Reads(airtime)
 	rec := Reception{
 		Start:   start,
 		Airtime: airtime,
 		Times:   make([]float64, n),
-		RRSSI:   t.ReceiveRange(rssiAt, start, airtime, 0, n),
+		RRSSI:   t.ReceiveRange(nil, rssiAt, start, airtime, 0, n),
 	}
 	for i := range rec.Times {
 		rec.Times[i] = t.readTime(start, i)
@@ -143,22 +133,47 @@ func (t *Transceiver) Receive(rssiAt func(t float64) float64, start, airtime flo
 }
 
 // ReceiveRange simulates receiving the same packet as Receive but
-// returns only the register reads [lo, hi) (clamped to [0, Reads]),
-// equal to Receive(...).RRSSI[lo:hi]. The channel is evaluated only
-// inside the range. Every read outside it still owes its read noise:
-// the owed draws are taken, in order, before the unit's next draw of
-// any kind (a read or an OpDelay), so the random stream every later
-// read and OpDelay sees is exactly the one a full Receive leaves. A
-// unit that never draws again never pays them.
-func (t *Transceiver) ReceiveRange(rssiAt func(t float64) float64, start, airtime float64, lo, hi int) []float64 {
+// appends to dst only the register reads [lo, hi) (clamped to
+// [0, Reads]), equal to Receive(...).RRSSI[lo:hi], and returns the
+// extended slice. The channel is evaluated only inside the range, in
+// one rssiAt call over every read's smoothing-tap times. Each read
+// reports the chip-smoothed channel power (its taps summed in order and
+// averaged) plus this unit's bias, read noise and register
+// quantization. Every read outside the range still owes its read
+// noise: the owed draws are taken, in order, before the unit's next
+// draw of any kind (a read or an OpDelay), so the random stream every
+// later read and OpDelay sees is exactly the one a full Receive leaves.
+// A unit that never draws again never pays them.
+func (t *Transceiver) ReceiveRange(dst []float64, rssiAt func(ts, out []float64), start, airtime float64, lo, hi int) []float64 {
 	n := t.Reads(airtime)
 	hi = min(max(hi, 0), n)
 	lo = min(max(lo, 0), hi)
-	out := make([]float64, hi-lo)
+	dst = slices.Grow(dst, hi-lo)
 	t.owed += lo
-	for i := lo; i < hi; i++ {
-		out[i-lo] = t.measure(rssiAt, t.readTime(start, i))
+	if m := (hi - lo) * rssiSmoothingTaps; m > 0 {
+		if cap(t.buf) < 2*m {
+			t.buf = make([]float64, 2*m)
+		}
+		taps, vals := t.buf[:m], t.buf[m:2*m]
+		for i := lo; i < hi; i++ {
+			ts := t.readTime(start, i)
+			for k := 0; k < rssiSmoothingTaps; k++ {
+				back := RSSISmoothing * float64(k) / float64(rssiSmoothingTaps)
+				taps[(i-lo)*rssiSmoothingTaps+k] = ts - back
+			}
+		}
+		rssiAt(taps, vals)
+		step := t.prof.rssiStepDB
+		for r := 0; r < m; r += rssiSmoothingTaps {
+			var sum float64
+			for _, v := range vals[r : r+rssiSmoothingTaps] {
+				sum += v
+			}
+			t.settle()
+			v := sum/rssiSmoothingTaps + t.gainBiasDB + t.src.Normal(0, t.prof.noiseStdDB)
+			dst = append(dst, math.Round(v/step)*step)
+		}
 	}
 	t.owed += n - hi
-	return out
+	return dst
 }

@@ -75,13 +75,3 @@ func Cos(x float64) float64 {
 	neg := ((j + 2) & 4) << 61 // octants 2 and 4 (mod 8) flip the sign
 	return math.Float64frombits(math.Float64bits(r) ^ neg)
 }
-
-// CosSum returns the sum of Cos(x) over xs, accumulated in index order
-// from zero, as a loop of `s += math.Cos(x)` would.
-func CosSum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += Cos(x)
-	}
-	return s
-}

@@ -73,7 +73,7 @@ func (c *Collector) Bob() *lora.Transceiver { return c.bob }
 // Run advances the timeline by n probe/response rounds and returns them.
 func (c *Collector) Run(n int) []Exchange {
 	out := make([]Exchange, 0, n)
-	receive := func(_ Receivers, tr *lora.Transceiver, gain func(float64) float64, start float64, _ bool) lora.Reception {
+	receive := func(_ Receivers, tr *lora.Transceiver, gain func(ts, out []float64), start float64, _ bool) lora.Reception {
 		return tr.Receive(gain, start, c.airtime)
 	}
 	rounds(c, n, receive, func(idx int, bobRx, alcRx, eveERx, eveIRx lora.Reception, duration float64) {
@@ -132,13 +132,15 @@ func (c *Collector) Features(n int, cfg ExtractConfig, rx Receivers) Features {
 		EveImitate:   side(Eve),
 		Duration:     make([]float64, 0, n),
 	}
-	receive := func(who Receivers, tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) []float64 {
+	var edge []float64 // one reception's edge reads, reused
+	receive := func(who Receivers, tr *lora.Transceiver, gain func(ts, out []float64), start float64, tail bool) []float64 {
 		if rx&who == 0 {
-			tr.ReceiveRange(gain, start, c.airtime, 0, 0)
+			tr.ReceiveRange(nil, gain, start, c.airtime, 0, 0)
 			return nil
 		}
 		lo, hi := edgeRange(tr.Reads(c.airtime), cfg.WindowFraction, tail)
-		return edgeFeatures(tr.ReceiveRange(gain, start, c.airtime, lo, hi), cfg.Blocks, tail)
+		edge = tr.ReceiveRange(edge[:0], gain, start, c.airtime, lo, hi)
+		return edgeFeatures(edge, cfg.Blocks, tail)
 	}
 	keep := func(side *[][]float64, x []float64) {
 		if *side != nil { // selected
@@ -161,13 +163,21 @@ func (c *Collector) Features(n int, cfg ExtractConfig, rx Receivers) Features {
 // the receiver who; tail marks the probe's receptions, the earlier
 // window of the pair. emit gets each finished round.
 func rounds[R any](c *Collector, n int,
-	receive func(who Receivers, tr *lora.Transceiver, gain func(float64) float64, start float64, tail bool) R,
+	receive func(who Receivers, tr *lora.Transceiver, gain func(ts, out []float64), start float64, tail bool) R,
 	emit func(idx int, bobRx, alcRx, eveERx, eveIRx R, duration float64),
 ) {
 	tx := c.Model.Config().TxPowerDBm
-	legit := func(t float64) float64 { return tx + c.Model.GainDB(t) }
-	eveEaves := func(t float64) float64 { return tx + c.Model.EveEavesdropGainDB(t) }
-	eveImit := func(t float64) float64 { return tx + c.Model.EveImitateGainDB(t) }
+	rssi := func(gainsDB func(ts, out []float64)) func(ts, out []float64) {
+		return func(ts, out []float64) {
+			gainsDB(ts, out)
+			for i, g := range out[:len(ts)] {
+				out[i] = tx + g
+			}
+		}
+	}
+	legit := rssi(c.Model.GainsDB)
+	eveEaves := rssi(c.Model.EveEavesdropGainsDB)
+	eveImit := rssi(c.Model.EveImitateGainsDB)
 
 	for i := 0; i < n; i++ {
 		start := c.now

@@ -97,46 +97,55 @@ func sameFeatures(a, b Features) bool {
 // Run's full receptions (per round, and as normalized samples with
 // their durations and Mean/Std), leave each unselected side empty, and
 // leave the collector where Run does: one further full round on both
-// collectors yields the same features.
+// collectors yields the same features. With -short only DefaultExtract
+// runs (still every receiver subset and scenario); the full fraction ×
+// blocks grid covers the ranged, batched register reads at every
+// window size.
 func TestBuildMatchesRunFeatures(t *testing.T) {
 	const n, seed = 2, 11
-	for _, sc := range Scenarios() {
+	cfgs := []ExtractConfig{DefaultExtract()}
+	if !testing.Short() {
+		cfgs = cfgs[:0]
 		for _, frac := range []float64{0.01, 0.1, 0.5, 1.0} {
 			for _, blocks := range []int{1, 4, 7} {
-				cfg := ExtractConfig{WindowFraction: frac, Blocks: blocks}
-				seqLen := 3 * blocks
-				ref := NewCollector(sc, seed)
-				want := runFeatures(ref, n*3, cfg)
-				wantNext := runFeatures(ref, 1, cfg)
-				for rx := Receivers(0); rx <= allReceivers; rx++ {
-					c := NewCollector(sc, seed)
-					if got := c.Features(n*3, cfg, rx); !sameFeatures(got, only(want, rx)) {
-						t.Fatalf("%s %+v rx=%03b: Features differ from the Run-derived ones", sc.Name, cfg, rx)
-					}
-					if got := c.Features(1, cfg, allReceivers); !sameFeatures(got, wantNext) {
-						t.Fatalf("%s %+v rx=%03b: the next full round differs from Run's", sc.Name, cfg, rx)
-					}
+				cfgs = append(cfgs, ExtractConfig{WindowFraction: frac, Blocks: blocks})
+			}
+		}
+	}
+	for _, sc := range Scenarios() {
+		for _, cfg := range cfgs {
+			seqLen := 3 * cfg.Blocks
+			ref := NewCollector(sc, seed)
+			want := runFeatures(ref, n*3, cfg)
+			wantNext := runFeatures(ref, 1, cfg)
+			for rx := Receivers(0); rx <= allReceivers; rx++ {
+				c := NewCollector(sc, seed)
+				if got := c.Features(n*3, cfg, rx); !sameFeatures(got, only(want, rx)) {
+					t.Fatalf("%s %+v rx=%03b: Features differ from the Run-derived ones", sc.Name, cfg, rx)
+				}
+				if got := c.Features(1, cfg, allReceivers); !sameFeatures(got, wantNext) {
+					t.Fatalf("%s %+v rx=%03b: the next full round differs from Run's", sc.Name, cfg, rx)
+				}
 
-					got, err := BuildFor(sc, seed, n, seqLen, cfg, rx)
-					if err != nil {
-						t.Fatal(err)
+				got, err := BuildFor(sc, seed, n, seqLen, cfg, rx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantDS := datasetFrom(sc, only(want, rx), n, seqLen, cfg)
+				if math.Float64bits(got.Mean) != math.Float64bits(wantDS.Mean) ||
+					math.Float64bits(got.Std) != math.Float64bits(wantDS.Std) {
+					t.Fatalf("%s %+v rx=%03b: Mean/Std %v/%v, want %v/%v", sc.Name, cfg, rx, got.Mean, got.Std, wantDS.Mean, wantDS.Std)
+				}
+				for i, g := range got.Samples {
+					w := wantDS.Samples[i]
+					if !sameBits(g.Alice, w.Alice) || !sameBits(g.Bob, w.Bob) ||
+						!sameBits(g.EveEavesdrop, w.EveEavesdrop) || !sameBits(g.EveImitate, w.EveImitate) ||
+						math.Float64bits(g.Duration) != math.Float64bits(w.Duration) {
+						t.Fatalf("%s %+v rx=%03b: sample %d differs from the Run-derived one", sc.Name, cfg, rx, i)
 					}
-					wantDS := datasetFrom(sc, only(want, rx), n, seqLen, cfg)
-					if math.Float64bits(got.Mean) != math.Float64bits(wantDS.Mean) ||
-						math.Float64bits(got.Std) != math.Float64bits(wantDS.Std) {
-						t.Fatalf("%s %+v rx=%03b: Mean/Std %v/%v, want %v/%v", sc.Name, cfg, rx, got.Mean, got.Std, wantDS.Mean, wantDS.Std)
-					}
-					for i, g := range got.Samples {
-						w := wantDS.Samples[i]
-						if !sameBits(g.Alice, w.Alice) || !sameBits(g.Bob, w.Bob) ||
-							!sameBits(g.EveEavesdrop, w.EveEavesdrop) || !sameBits(g.EveImitate, w.EveImitate) ||
-							math.Float64bits(g.Duration) != math.Float64bits(w.Duration) {
-							t.Fatalf("%s %+v rx=%03b: sample %d differs from the Run-derived one", sc.Name, cfg, rx, i)
-						}
-						if (rx&Alice == 0) != (len(g.Alice) == 0) || (rx&Bob == 0) != (len(g.Bob) == 0) ||
-							(rx&Eve == 0) != (len(g.EveEavesdrop) == 0) || (rx&Eve == 0) != (len(g.EveImitate) == 0) {
-							t.Fatalf("%s %+v rx=%03b: sample %d: derived sides do not match the selection", sc.Name, cfg, rx, i)
-						}
+					if (rx&Alice == 0) != (len(g.Alice) == 0) || (rx&Bob == 0) != (len(g.Bob) == 0) ||
+						(rx&Eve == 0) != (len(g.EveEavesdrop) == 0) || (rx&Eve == 0) != (len(g.EveImitate) == 0) {
+						t.Fatalf("%s %+v rx=%03b: sample %d: derived sides do not match the selection", sc.Name, cfg, rx, i)
 					}
 				}
 			}
