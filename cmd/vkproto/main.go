@@ -82,13 +82,10 @@ func main() {
 		fatal(err)
 	}
 
-	// Observability is opt-in: without flags every layer records into
-	// obs.Nop. One registry collects the session pipeline, the protocol
-	// node, and the fault injector together.
-	var reg *vehiclekey.MetricsRegistry
-	if *metrics || *pprofAddr != "" {
-		reg = vehiclekey.NewMetricsRegistry()
-	}
+	// One registry collects the session pipeline, the protocol node and
+	// the fault injector together; the closing stats lines are read from
+	// it, and -metrics/-pprof export it.
+	reg := vehiclekey.NewMetricsRegistry()
 	if *pprofAddr != "" {
 		srv, err := obs.ServeDebug(*pprofAddr, reg)
 		if err != nil {
@@ -115,9 +112,7 @@ func main() {
 		Scheme:          *scheme,
 		TrainingWindows: 300,
 		TrainingEpochs:  25,
-	}
-	if reg != nil {
-		opts.Recorder = reg
+		Recorder:        reg,
 	}
 	vs, err := vehiclekey.SetupWith(opts)
 	if err != nil {
@@ -169,12 +164,9 @@ func main() {
 		Drop: *loss, Duplicate: *dup, Reorder: *reorder,
 		Corrupt: *corrupt, Delay: *delay, MaxDelay: *maxDelay,
 	}
-	var faulty *transport.FaultyConn
 	if faults.Enabled() {
-		faulty = transport.WrapFaulty(conn, faults, rng.New(*faultSeed))
-		if reg != nil {
-			faulty.SetRecorder(reg)
-		}
+		faulty := transport.WrapFaulty(conn, faults, rng.New(*faultSeed))
+		faulty.SetRecorder(reg)
 		conn = faulty
 		fmt.Printf("injecting faults on outgoing messages: %+v\n", faults)
 	}
@@ -182,11 +174,8 @@ func main() {
 	policy := protocol.DefaultRetryPolicy()
 	policy.Timeout = *timeout
 	policy.MaxRetries = *retries
-	nodeOpts := []protocol.Option{protocol.WithRetryPolicy(policy)}
-	if reg != nil {
-		nodeOpts = append(nodeOpts, protocol.WithRecorder(reg))
-	}
-	node := protocol.NewNode(vs.System(), conn, *session, nodeOpts...)
+	node := protocol.NewNode(vs.System(), conn, *session,
+		protocol.WithRetryPolicy(policy), protocol.WithRecorder(reg))
 	var outcomes []protocol.KeyOutcome
 	if *role == "bob" {
 		outcomes, err = node.RunBob(bobWin)
@@ -210,14 +199,15 @@ func main() {
 			fmt.Printf("block %d: failed: %v\n", i, o.Err)
 		}
 	}
-	st := node.Stats()
-	fmt.Printf("protocol stats: sent=%d retransmits=%d timeouts=%d garbage=%d stale=%d abandoned=%d/%d\n",
-		st.Sent, st.Retransmits, st.Timeouts, st.Garbage, st.Stale,
-		st.AbandonedWindows, st.AbandonedRounds)
-	if faulty != nil {
-		fs := faulty.Stats()
+	c := reg.Snapshot().Counters
+	fmt.Printf("protocol stats: sent=%d retransmits=%d timeouts=%d garbage=%d replay-drops=%d stale=%d abandoned=%d/%d\n",
+		c[obs.ProtocolSent], c[obs.ProtocolRetransmits], c[obs.ProtocolTimeouts], c[obs.ProtocolGarbage],
+		c[obs.ProtocolReplayDrops], c[obs.ProtocolStale], c[obs.ProtocolAbandonedWindows], c[obs.ProtocolAbandonedRounds])
+	if faults.Enabled() {
+		fault := func(kind string) int64 { return c[obs.Labeled(obs.TransportFaults, "kind", kind)] }
 		fmt.Printf("fault stats: sent=%d delivered=%d dropped=%d dup=%d reordered=%d corrupted=%d delayed=%d\n",
-			fs.Sent, fs.Delivered, fs.Dropped, fs.Duplicated, fs.Reordered, fs.Corrupted, fs.Delayed)
+			c[obs.ProtocolSent], fault("delivered"), fault("dropped"), fault("duplicated"),
+			fault("reordered"), fault("corrupted"), fault("delayed"))
 	}
 	fmt.Printf("%s done: %d/%d blocks confirmed\n", *role, confirmed, len(outcomes))
 
@@ -226,7 +216,7 @@ func main() {
 			_, _ = fmt.Fprintf(os.Stderr, "vkproto: %v\n", err)
 		}
 	}
-	if *metrics && reg != nil {
+	if *metrics {
 		_ = reg.WritePrometheus(os.Stderr) // best-effort: stderr may be closed
 	}
 }

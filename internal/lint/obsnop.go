@@ -8,22 +8,19 @@ import (
 // obsnopScope is the set of hot-path packages that record metrics on
 // every message or pipeline phase. These packages must accept an
 // obs.Recorder from their caller (defaulting to obs.Nop) and never
-// construct a concrete Registry or Tracer themselves: a privately
-// constructed recorder hides its metrics from the binary's exporter,
-// and an accidental always-on registry would put registry map lookups
-// and atomics on paths that are supposed to cost nothing by default.
+// construct a concrete Registry themselves: a privately constructed
+// recorder hides its metrics from the binary's exporter, and an
+// accidental always-on registry would put registry map lookups and
+// atomics on paths that are supposed to cost nothing by default. For
+// the same reason they never format an argument they pass to a
+// recorder: under obs.Nop the call records nothing, but the formatting
+// has already run and allocated.
 var obsnopScope = []string{"protocol", "core", "transport", "exp", "server", "lora", "group"}
-
-// obsnopTypes are the concrete recorder types the scope must not build.
-var obsnopTypes = map[string]bool{"Registry": true, "Tracer": true}
-
-// obsnopCtors are the constructor functions for those types.
-var obsnopCtors = map[string]bool{"NewRegistry": true, "NewTracer": true}
 
 func init() {
 	register(&Analyzer{
 		Name:     "obsnop",
-		Doc:      "hot-path packages must accept an obs.Recorder, never construct a concrete Registry or Tracer",
+		Doc:      "hot-path packages must accept an obs.Recorder, never construct a concrete Registry, and never format a recorder argument",
 		Severity: Error,
 		Run:      runObsnop,
 	})
@@ -34,6 +31,7 @@ func runObsnop(pass *Pass) {
 		return
 	}
 	obsPath := pass.Module.Path + "/internal/obs"
+	recorder := obsRecorder(pass.Pkg.Types, obsPath)
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		if isGenerated(f) {
@@ -43,20 +41,22 @@ func runObsnop(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				obj := calleeObject(info, n)
-				if obj != nil && obsnopCtors[obj.Name()] && objectPkgPath(obj) == obsPath {
+				if obj != nil && obj.Name() == "NewRegistry" && objectPkgPath(obj) == obsPath {
 					pass.Reportf(n.Pos(),
-						"package %s constructs obs.%s; hot-path code must take an obs.Recorder from the caller (default obs.Nop)",
-						pass.Pkg.Name, obj.Name())
+						"package %s constructs obs.NewRegistry; hot-path code must take an obs.Recorder from the caller (default obs.Nop)",
+						pass.Pkg.Name)
+				}
+				if method := recorderMethod(obj, recorder); method != "" {
+					for _, arg := range n.Args {
+						reportFormatting(pass, arg, method)
+					}
 				}
 			case *ast.CompositeLit:
 				tv, ok := info.Types[ast.Expr(n)]
-				if !ok {
-					return true
-				}
-				if named := namedObsType(tv.Type, obsPath); named != "" {
+				if ok && isObsRegistry(tv.Type, obsPath) {
 					pass.Reportf(n.Pos(),
-						"package %s builds an obs.%s literal; hot-path code must take an obs.Recorder from the caller (default obs.Nop)",
-						pass.Pkg.Name, named)
+						"package %s builds an obs.Registry literal; hot-path code must take an obs.Recorder from the caller (default obs.Nop)",
+						pass.Pkg.Name)
 				}
 			}
 			return true
@@ -64,16 +64,83 @@ func runObsnop(pass *Pass) {
 	}
 }
 
-// namedObsType returns the type name if t is one of the concrete
-// recorder types declared in the obs package, and "" otherwise.
-func namedObsType(t types.Type, obsPath string) string {
+// isObsRegistry reports whether t is the concrete obs.Registry type.
+func isObsRegistry(t types.Type, obsPath string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
-		return ""
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != obsPath || !obsnopTypes[obj.Name()] {
+	return obj.Name() == "Registry" && objectPkgPath(obj) == obsPath
+}
+
+// obsRecorder returns the obs.Recorder interface if pkg imports the obs
+// package, and nil otherwise (a package that cannot name the interface
+// has no recorder calls to check).
+func obsRecorder(pkg *types.Package, obsPath string) *types.Interface {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() != obsPath {
+			continue
+		}
+		if tn, ok := imp.Scope().Lookup("Recorder").(*types.TypeName); ok {
+			iface, _ := tn.Type().Underlying().(*types.Interface)
+			return iface
+		}
+	}
+	return nil
+}
+
+// recorderMethod returns the method's name if obj is one of the
+// Recorder methods called on a value whose type implements Recorder
+// (the interface itself, obs.Registry, or any other implementation),
+// and "" otherwise.
+func recorderMethod(obj types.Object, recorder *types.Interface) string {
+	fn, ok := obj.(*types.Func)
+	if !ok || recorder == nil {
 		return ""
 	}
-	return obj.Name()
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	for i := 0; i < recorder.NumMethods(); i++ {
+		if recorder.Method(i).Name() == fn.Name() && types.Implements(recv.Type(), recorder) {
+			return fn.Name()
+		}
+	}
+	return ""
+}
+
+// reportFormatting flags every call into fmt, and every String()
+// method call, inside one argument of a recorder call.
+func reportFormatting(pass *Pass, arg ast.Expr, method string) {
+	ast.Inspect(arg, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		var what string
+		switch obj := calleeObject(pass.Pkg.Info, call); {
+		case objectPkgPath(obj) == "fmt":
+			what = "fmt." + obj.Name()
+		case isStringMethod(obj):
+			what = "String()"
+		default:
+			return true
+		}
+		pass.Reportf(call.Pos(),
+			"package %s calls %s to build an argument of Recorder.%s; the formatting runs even under obs.Nop (bake the name once, at package level)",
+			pass.Pkg.Name, what, method)
+		return true
+	})
+}
+
+// isStringMethod reports whether obj is a String() method.
+func isStringMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Name() != "String" {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	return sig.Recv() != nil && sig.Params().Len() == 0
 }

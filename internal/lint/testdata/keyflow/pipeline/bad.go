@@ -100,7 +100,7 @@ func intsToBytes(xs []int) []byte {
 func labelKey(rec obs.Recorder, win []float64) {
 	var q quantizer
 	bits, _ := q.BobQuantize(win)
-	rec.Event(obs.Labeled("vk_key", "bits", string(bits)), "x") // want "keyflow"
+	rec.Add(obs.Labeled("vk_key", "bits", string(bits)), 1) // want "keyflow"
 }
 
 // confirmMAC is the compliant confirmation path: the MAC is keyed by a

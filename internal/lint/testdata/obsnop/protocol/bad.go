@@ -15,10 +15,6 @@ func newNode() *node {
 	return &node{rec: obs.NewRegistry()} // want "obsnop"
 }
 
-func newTrace() *obs.Tracer {
-	return obs.NewTracer(64) // want "obsnop"
-}
-
 func literalRegistry() *obs.Registry {
 	return &obs.Registry{} // want "obsnop"
 }
@@ -31,7 +27,6 @@ func goodNode(rec obs.Recorder) *node {
 
 var (
 	_ = newNode
-	_ = newTrace
 	_ = literalRegistry
 	_ = goodNode
 )

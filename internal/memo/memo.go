@@ -16,13 +16,6 @@ import (
 	"sync"
 )
 
-// Stats counts cache effectiveness. Snapshot via LRU.Stats.
-type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
 type entry[K comparable, V any] struct {
 	key K
 	val V
@@ -35,7 +28,6 @@ type LRU[K comparable, V any] struct {
 	cap   int
 	order *list.List // front = most recent
 	items map[K]*list.Element
-	stats Stats
 }
 
 // NewLRU returns a cache bounded to capacity entries. capacity < 1 is
@@ -63,10 +55,8 @@ func (l *LRU[K, V]) Get(key K) (V, bool) {
 	defer l.mu.Unlock()
 	el, ok := l.items[key]
 	if !ok {
-		l.stats.Misses++
 		return zero, false
 	}
-	l.stats.Hits++
 	l.order.MoveToFront(el)
 	return el.Value.(*entry[K, V]).val, true
 }
@@ -88,7 +78,6 @@ func (l *LRU[K, V]) Put(key K, val V) {
 		oldest := l.order.Back()
 		l.order.Remove(oldest)
 		delete(l.items, oldest.Value.(*entry[K, V]).key)
-		l.stats.Evictions++
 	}
 	l.items[key] = l.order.PushFront(&entry[K, V]{key: key, val: val})
 }
@@ -119,7 +108,7 @@ func (l *LRU[K, V]) Len() int {
 	return l.order.Len()
 }
 
-// Purge drops every entry (stats are kept). Used when the upstream
+// Purge drops every entry. Used when the upstream
 // purity assumption breaks — e.g. a predictor retrain invalidates all
 // memoized forwards.
 func (l *LRU[K, V]) Purge() {
@@ -130,14 +119,4 @@ func (l *LRU[K, V]) Purge() {
 	defer l.mu.Unlock()
 	l.order.Init()
 	clear(l.items)
-}
-
-// Stats snapshots the hit/miss/eviction counters.
-func (l *LRU[K, V]) Stats() Stats {
-	if l == nil {
-		return Stats{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
 }

@@ -3,6 +3,7 @@ package memo
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -29,10 +30,6 @@ func TestLRUBasics(t *testing.T) {
 	}
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
-	}
-	st := l.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
 }
 
@@ -66,11 +63,10 @@ func TestLRUEvictionChurn(t *testing.T) {
 			t.Fatalf("recent key %d missing or wrong: %d, %v", i, v, ok)
 		}
 	}
-	if _, ok := l.Get(0); ok {
-		t.Fatal("ancient key survived churn")
-	}
-	if st := l.Stats(); st.Evictions != 1000-cap {
-		t.Fatalf("Evictions = %d, want %d", st.Evictions, 1000-cap)
+	for i := 0; i < 1000-cap; i++ {
+		if _, ok := l.Get(i); ok {
+			t.Fatalf("evicted key %d survived churn", i)
+		}
 	}
 }
 
@@ -121,9 +117,6 @@ func TestNilLRU(t *testing.T) {
 	if got := l.GetOrCompute(1, func() int { return 7 }); got != 7 {
 		t.Fatalf("nil GetOrCompute = %d", got)
 	}
-	if st := l.Stats(); st != (Stats{}) {
-		t.Fatalf("nil Stats = %+v", st)
-	}
 }
 
 // TestLRUConcurrentSoak hammers one cache from many goroutines with
@@ -131,16 +124,18 @@ func TestNilLRU(t *testing.T) {
 // interleave) and verifies values stay pure. Run under -race via
 // scripts/test-race.sh.
 func TestLRUConcurrentSoak(t *testing.T) {
+	const goroutines, perGoroutine = 8, 2000
 	l := NewLRU[int, string](32)
+	var computes atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 2000; i++ {
+			for i := 0; i < perGoroutine; i++ {
 				k := (g*37 + i) % 64 // overlapping ranges across goroutines
 				want := fmt.Sprintf("v%d", k)
-				got := l.GetOrCompute(k, func() string { return want })
+				got := l.GetOrCompute(k, func() string { computes.Add(1); return want })
 				if got != want {
 					t.Errorf("impure value for %d: %q", k, got)
 					return
@@ -152,8 +147,8 @@ func TestLRUConcurrentSoak(t *testing.T) {
 	if n := l.Len(); n > 32 {
 		t.Fatalf("capacity exceeded under churn: %d", n)
 	}
-	st := l.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("soak did not exercise both paths: %+v", st)
+	// Every miss computes once; every hit skips the computation.
+	if n := computes.Load(); n == 0 || n == goroutines*perGoroutine {
+		t.Fatalf("soak did not exercise both paths: %d computes of %d lookups", n, goroutines*perGoroutine)
 	}
 }

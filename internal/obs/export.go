@@ -53,15 +53,13 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// Snapshot is a point-in-time copy of every instrument plus the trace
-// ring, safe to serialize while recording continues.
+// Snapshot is a point-in-time copy of every instrument, safe to
+// serialize while recording continues.
 type Snapshot struct {
 	UptimeSeconds float64                      `json:"uptime_seconds"`
 	Counters      map[string]int64             `json:"counters"`
 	Gauges        map[string]float64           `json:"gauges"`
 	Histograms    map[string]HistogramSnapshot `json:"histograms"`
-	Events        []TraceEvent                 `json:"events"`
-	DroppedEvents uint64                       `json:"dropped_events"`
 }
 
 // Snapshot captures the registry's current state.
@@ -92,8 +90,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	r.mu.RUnlock()
-	s.Events = r.trace.Events()
-	s.DroppedEvents = r.trace.Dropped()
 	return s
 }
 

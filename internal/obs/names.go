@@ -178,20 +178,6 @@ var Phases = []string{PhaseProbe, PhasePredict, PhaseQuantize, PhaseReconcile, P
 // Transport fault kinds.
 var FaultKinds = []string{"dropped", "duplicated", "reordered", "corrupted", "delayed", "delivered"}
 
-// Trace-event taxonomy.
-const (
-	// EvRetransmit: the ARQ layer retransmitted a cached message.
-	EvRetransmit = "arq.retransmit"
-	// EvBackoff: a receive deadline expired and the timeout was backed off.
-	EvBackoff = "arq.backoff"
-	// EvAbandon: a window or round exhausted its retries.
-	EvAbandon = "arq.abandon"
-	// EvRound: a reconciliation round resolved (confirmed or failed).
-	EvRound = "round.done"
-	// EvKey: a 128-bit session key was confirmed.
-	EvKey = "round.key"
-)
-
 // Labeled bakes one Prometheus-style label into a family name:
 // Labeled("f", "phase", "probe") == `f{phase="probe"}`. Build these once
 // (package-level vars), not per record call.

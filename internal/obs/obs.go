@@ -1,7 +1,6 @@
 // Package obs is the repository's observability layer: a small,
-// stdlib-only set of live instruments — atomic counters, gauges,
-// fixed-bucket histograms, and a bounded ring-buffer event tracer —
-// behind one Recorder interface that the hot layers (protocol, core
+// stdlib-only set of live instruments — atomic counters, gauges and
+// fixed-bucket histograms — behind one Recorder interface that the hot layers (protocol, core
 // pipeline, transport, exp engine) accept from their callers.
 //
 // The design contract, enforced by the vklint obsnop analyzer, is that
@@ -16,7 +15,7 @@
 // Metric identity is a flat name, optionally carrying Prometheus-style
 // labels baked into the string ("vk_pipeline_phase_seconds{phase=\"quantize\"}",
 // built once with Labeled, never per call). names.go holds the
-// repository's metric and trace-event taxonomy.
+// repository's metric taxonomy.
 package obs
 
 // Recorder is the instrumentation sink threaded through the hot layers.
@@ -29,9 +28,6 @@ type Recorder interface {
 	Set(name string, value float64)
 	// Observe records one sample into the named histogram.
 	Observe(name string, value float64)
-	// Event appends a trace event (bounded ring buffer; old events are
-	// overwritten, never blocking the caller).
-	Event(name, detail string)
 }
 
 // NopRecorder is the zero-cost default: every method does nothing. It is
@@ -48,9 +44,6 @@ func (NopRecorder) Set(string, float64) {}
 
 // Observe implements Recorder as a no-op.
 func (NopRecorder) Observe(string, float64) {}
-
-// Event implements Recorder as a no-op.
-func (NopRecorder) Event(string, string) {}
 
 // Nop is the shared no-op recorder instance.
 var Nop Recorder = NopRecorder{}

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -61,29 +60,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 6; i++ {
-		tr.Record("ev", fmt.Sprintf("%d", i))
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len(events) = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		wantSeq := uint64(2 + i)
-		if ev.Seq != wantSeq || ev.Detail != fmt.Sprintf("%d", wantSeq) {
-			t.Errorf("event %d = seq %d detail %q, want seq %d", i, ev.Seq, ev.Detail, wantSeq)
-		}
-		if i > 0 && evs[i].Offset < evs[i-1].Offset {
-			t.Errorf("event %d offset %v precedes event %d offset %v", i, evs[i].Offset, i-1, evs[i-1].Offset)
-		}
-	}
-	if tr.Total() != 6 || tr.Dropped() != 2 {
-		t.Errorf("total=%d dropped=%d, want 6 and 2", tr.Total(), tr.Dropped())
-	}
-}
-
 func TestLabeledFamily(t *testing.T) {
 	name := Labeled(PipelinePhaseSeconds, "phase", PhaseQuantize)
 	if name != `vk_pipeline_phase_seconds{phase="quantize"}` {
@@ -112,7 +88,6 @@ func TestOrNop(t *testing.T) {
 	Nop.Add("x", 1)
 	Nop.Set("x", 1)
 	Nop.Observe("x", 1)
-	Nop.Event("x", "y")
 }
 
 // TestDeclareStandardSnapshot proves a freshly declared registry exports
@@ -174,7 +149,6 @@ func TestPrometheusHistogramCumulative(t *testing.T) {
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Add("vk_protocol_sent_total", 7)
-	r.Event(EvRetransmit, "w=3")
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -185,9 +159,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if s.Counters["vk_protocol_sent_total"] != 7 {
 		t.Errorf("counter lost in JSON: %+v", s.Counters)
-	}
-	if len(s.Events) != 1 || s.Events[0].Name != EvRetransmit {
-		t.Errorf("events lost in JSON: %+v", s.Events)
 	}
 }
 
@@ -275,7 +246,7 @@ func TestProfileHelpers(t *testing.T) {
 // protocol and pipeline hot paths; the final counts prove no increment
 // is lost.
 func TestConcurrencySoak(t *testing.T) {
-	r := NewRegistry(WithTraceCapacity(256))
+	r := NewRegistry()
 	DeclareStandard(r)
 	const workers = 16
 	const perWorker = 2000
@@ -304,19 +275,8 @@ func TestConcurrencySoak(t *testing.T) {
 				r.Add(ProtocolSent, 1)
 				r.Set("vk_soak_gauge", float64(i))
 				r.Observe(hist, float64(i)*1e-6)
-				r.Event(EvBackoff, "")
 			}
 		}(w)
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			tr := r.Trace()
-			for i := 0; i < perWorker/4; i++ {
-				_ = tr.Events()
-			}
-		}()
 	}
 	wg.Wait()
 	close(stop)
@@ -332,9 +292,6 @@ func TestConcurrencySoak(t *testing.T) {
 	}
 	if total != workers*perWorker {
 		t.Errorf("histogram samples = %d, want %d", total, workers*perWorker)
-	}
-	if r.Trace().Total() != workers*perWorker {
-		t.Errorf("trace total = %d, want %d", r.Trace().Total(), workers*perWorker)
 	}
 }
 
@@ -385,11 +342,4 @@ func BenchmarkRegistryRecorder(b *testing.B) {
 		r.Observe(ProtocolRoundSeconds, 1e-3)
 	}
 	sink = x
-}
-
-func BenchmarkTracerRecord(b *testing.B) {
-	tr := NewTracer(DefaultTraceCap)
-	for i := 0; i < b.N; i++ {
-		tr.Record(EvRetransmit, "")
-	}
 }

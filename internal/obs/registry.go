@@ -84,8 +84,8 @@ var SessionBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// Registry is the concrete Recorder: a concurrent name → instrument map
-// plus one trace ring. Instrument lookups take a read lock; the
+// Registry is the concrete Recorder: a concurrent name → instrument
+// map. Instrument lookups take a read lock; the
 // instruments themselves are lock-free atomics, so sustained recording
 // on a known name contends only on the RWMutex read path.
 type Registry struct {
@@ -97,33 +97,18 @@ type Registry struct {
 	hists    map[string]*Histogram
 	help     map[string]string // keyed by family (label-stripped) name
 	bounds   map[string][]float64
-
-	trace *Tracer
-}
-
-// RegistryOption configures NewRegistry.
-type RegistryOption func(*Registry)
-
-// WithTraceCapacity sets the event ring size (default DefaultTraceCap).
-func WithTraceCapacity(n int) RegistryOption {
-	return func(r *Registry) { r.trace = NewTracer(n) }
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry(opts ...RegistryOption) *Registry {
-	r := &Registry{
+func NewRegistry() *Registry {
+	return &Registry{
 		start:    time.Now(),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		help:     make(map[string]string),
 		bounds:   make(map[string][]float64),
-		trace:    NewTracer(DefaultTraceCap),
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
 }
 
 // DeclareCounter pre-registers a counter and its help text, so exports
@@ -179,14 +164,6 @@ func (r *Registry) Set(name string, value float64) {
 func (r *Registry) Observe(name string, value float64) {
 	r.histogram(name).Observe(value)
 }
-
-// Event implements Recorder.
-func (r *Registry) Event(name, detail string) {
-	r.trace.Record(name, detail)
-}
-
-// Trace exposes the registry's event ring.
-func (r *Registry) Trace() *Tracer { return r.trace }
 
 // Uptime reports the monotonic time since the registry was built.
 func (r *Registry) Uptime() time.Duration { return time.Since(r.start) }

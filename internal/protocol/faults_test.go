@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/transport"
 )
@@ -18,13 +19,17 @@ func soakPolicy() RetryPolicy {
 	return RetryPolicy{Timeout: 40 * time.Millisecond, MaxTimeout: 400 * time.Millisecond, Backoff: 2, MaxRetries: 8}
 }
 
+// counter reads one counter from a node's registry.
+func counter(reg *obs.Registry, name string) int64 { return reg.Snapshot().Counters[name] }
+
 // runUnderFaults runs a full key establishment over a faulty in-memory
-// pair and returns both sides' outcomes plus the node stats.
-func runUnderFaults(t *testing.T, h *soakHarness, cfg transport.FaultConfig, seed int64) (aliceOut, bobOut []KeyOutcome, aliceNode, bobNode *Node) {
+// pair and returns both sides' outcomes plus each node's own registry.
+func runUnderFaults(t *testing.T, h *soakHarness, cfg transport.FaultConfig, seed int64) (aliceOut, bobOut []KeyOutcome, aliceReg, bobReg *obs.Registry) {
 	t.Helper()
 	a, b := transport.FaultyPair(cfg, rng.New(seed))
-	alice := NewNode(h.sys, a, "soak", WithRetryPolicy(soakPolicy()))
-	bob := NewNode(h.sys, b, "soak", WithRetryPolicy(soakPolicy()))
+	aliceReg, bobReg = obs.NewRegistry(), obs.NewRegistry()
+	alice := NewNode(h.sys, a, "soak", WithRetryPolicy(soakPolicy()), WithRecorder(aliceReg))
+	bob := NewNode(h.sys, b, "soak", WithRetryPolicy(soakPolicy()), WithRecorder(bobReg))
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var aliceErr, bobErr error
@@ -40,7 +45,7 @@ func runUnderFaults(t *testing.T, h *soakHarness, cfg transport.FaultConfig, see
 	if bobErr != nil {
 		t.Fatalf("bob: %v", bobErr)
 	}
-	return aliceOut, bobOut, alice, bob
+	return aliceOut, bobOut, aliceReg, bobReg
 }
 
 type soakHarness struct {
@@ -111,15 +116,15 @@ func TestProtocolUnderFaults(t *testing.T) {
 		cell := cell
 		seed := int64(2000 + 17*i)
 		t.Run(cell.name, func(t *testing.T) {
-			aliceOut, bobOut, aliceNode, bobNode := runUnderFaults(t, h, cell.cfg, seed)
+			aliceOut, bobOut, aliceReg, bobReg := runUnderFaults(t, h, cell.cfg, seed)
 			agreed := agreedKeys(t, cell.name, aliceOut, bobOut)
-			as, bs := aliceNode.Stats(), bobNode.Stats()
-			t.Logf("%s: agreed=%d (baseline %d, floor %d) bobStats=%+v aliceStats=%+v",
-				cell.name, agreed, baseline, minAgreed, bs, as)
+			t.Logf("%s: agreed=%d (baseline %d, floor %d) bob=%v alice=%v",
+				cell.name, agreed, baseline, minAgreed, bobReg.Snapshot().Counters, aliceReg.Snapshot().Counters)
 			if agreed < minAgreed {
 				t.Fatalf("%s: agreed %d keys, below floor %d (baseline %d)", cell.name, agreed, minAgreed, baseline)
 			}
-			if cell.cfg.Enabled() && bs.Retransmits+as.Retransmits == 0 && cell.cfg.Drop > 0 {
+			retransmits := counter(aliceReg, obs.ProtocolRetransmits) + counter(bobReg, obs.ProtocolRetransmits)
+			if cell.cfg.Enabled() && retransmits == 0 && cell.cfg.Drop > 0 {
 				t.Fatalf("%s: loss injected but nobody retransmitted — fault path untested", cell.name)
 			}
 		})
@@ -138,8 +143,9 @@ func TestProtocolAbandonsDeadPeer(t *testing.T) {
 	fast := RetryPolicy{Timeout: 5 * time.Millisecond, MaxTimeout: 10 * time.Millisecond, Backoff: 2, MaxRetries: 2}
 
 	a, b := transport.FaultyPair(transport.FaultConfig{Drop: 1}, rng.New(77))
+	bobReg := obs.NewRegistry()
 	alice := NewNode(h.sys, a, "dead", WithRetryPolicy(fast))
-	bob := NewNode(h.sys, b, "dead", WithRetryPolicy(fast))
+	bob := NewNode(h.sys, b, "dead", WithRetryPolicy(fast), WithRecorder(bobReg))
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var aliceOut, bobOut []KeyOutcome
@@ -163,7 +169,7 @@ func TestProtocolAbandonsDeadPeer(t *testing.T) {
 			t.Fatal("confirmed a key over a link that delivered nothing")
 		}
 	}
-	if bob.Stats().AbandonedWindows != 3 {
-		t.Fatalf("bob should have abandoned all 3 windows: %+v", bob.Stats())
+	if got := counter(bobReg, obs.ProtocolAbandonedWindows); got != 3 {
+		t.Fatalf("bob abandoned %d windows, want all 3", got)
 	}
 }

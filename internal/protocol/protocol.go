@@ -209,17 +209,6 @@ func (p RetryPolicy) next(d time.Duration) time.Duration {
 // garbage/stale deliveries) so a flood of junk cannot spin it forever.
 func (p RetryPolicy) iterCap() int { return (p.MaxRetries + 2) * 64 }
 
-// Stats counts what one node's run observed; read it after the run.
-type Stats struct {
-	Sent             int // envelopes transmitted (including retransmits)
-	Retransmits      int
-	Timeouts         int
-	Garbage          int // undecodable, wrong-session, replayed, or invalid
-	Stale            int // well-formed duplicates of already-handled messages
-	AbandonedWindows int // probing windows given up after retry exhaustion
-	AbandonedRounds  int // reconciliation rounds given up or never seen
-}
-
 // Option configures a Node.
 type Option func(*Node)
 
@@ -228,9 +217,10 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	return func(n *Node) { n.policy = p.normalize() }
 }
 
-// WithRecorder routes the node's counters, round-latency observations,
-// and ARQ trace events into r. The default is obs.Nop; a node never
-// constructs its own recorder (the obsnop lint contract).
+// WithRecorder routes the node's counters and round-latency
+// observations into r; the recorder is the only place a node counts
+// what it did. The default is obs.Nop; a node never constructs its own
+// recorder (the obsnop lint contract).
 func WithRecorder(r obs.Recorder) Option {
 	return func(n *Node) { n.rec = obs.OrNop(r) }
 }
@@ -248,7 +238,6 @@ type Node struct {
 	guard  *secure.WindowGuard
 	seq    uint64
 	sent   map[msgKey]Envelope // last semantic message per key, for re-replies
-	stats  Stats
 	rec    obs.Recorder
 }
 
@@ -284,10 +273,6 @@ func NewNode(sys pipeline.Scheme, conn transport.Conn, session string, opts ...O
 	return n
 }
 
-// Stats returns the node's counters. Call it after RunBob/RunAlice
-// returns; a Node is not safe for concurrent use.
-func (n *Node) Stats() Stats { return n.stats }
-
 // wipeSent scrubs the retransmit cache: cached SYNDROME/CONFIRM
 // envelopes carry key-derived material (code vectors, MACs over the
 // Bloom-domain key), and once the session is over nothing may re-request
@@ -316,7 +301,6 @@ func (n *Node) transmit(e Envelope) error {
 	e.Session = n.Session
 	e.Seq = n.seq
 	data := encode(e)
-	n.stats.Sent++
 	n.rec.Add(obs.ProtocolSent, 1)
 	return n.Conn.Send(data)
 }
@@ -324,9 +308,7 @@ func (n *Node) transmit(e Envelope) error {
 // resend retransmits the cached semantic message for key, if any.
 func (n *Node) resend(k msgKey) {
 	if e, ok := n.sent[k]; ok {
-		n.stats.Retransmits++
 		n.rec.Add(obs.ProtocolRetransmits, 1)
-		n.rec.Event(obs.EvRetransmit, fmt.Sprintf("type=%d idx=%d", k.t, k.idx))
 		_ = n.transmit(e)
 	}
 }
@@ -352,17 +334,14 @@ func (n *Node) recvEnvelope(timeout time.Duration) (Envelope, error) {
 	}
 	e, err := decode(data)
 	if err != nil {
-		n.stats.Garbage++
 		n.rec.Add(obs.ProtocolGarbage, 1)
 		return Envelope{}, errGarbage
 	}
 	if e.Session != n.Session {
-		n.stats.Garbage++
 		n.rec.Add(obs.ProtocolGarbage, 1)
 		return Envelope{}, errGarbage
 	}
 	if err := n.guard.Check("peer:"+e.Session, e.Seq); err != nil {
-		n.stats.Garbage++
 		n.rec.Add(obs.ProtocolReplayDrops, 1)
 		return Envelope{}, errGarbage
 	}
@@ -382,7 +361,6 @@ func (n *Node) await(want MsgType, idx int, request msgKey) (Envelope, error) {
 		switch {
 		case err == nil:
 		case errors.Is(err, transport.ErrTimeout):
-			n.stats.Timeouts++
 			n.rec.Add(obs.ProtocolTimeouts, 1)
 			timeouts++
 			if timeouts > n.policy.MaxRetries {
@@ -390,7 +368,6 @@ func (n *Node) await(want MsgType, idx int, request msgKey) (Envelope, error) {
 			}
 			n.resend(request)
 			timeout = n.policy.next(timeout)
-			n.rec.Event(obs.EvBackoff, timeout.String())
 			continue
 		case errors.Is(err, errGarbage):
 			continue
@@ -409,7 +386,6 @@ func (n *Node) await(want MsgType, idx int, request msgKey) (Envelope, error) {
 // awaited: a peer retransmitting an already-answered request gets the
 // cached reply again; anything else is dropped.
 func (n *Node) answerStale(e Envelope) {
-	n.stats.Stale++
 	n.rec.Add(obs.ProtocolStale, 1)
 	switch e.Type {
 	case MsgConfirm:
@@ -467,9 +443,7 @@ func (n *Node) RunBob(windows [][]float64) ([]KeyOutcome, error) {
 		fin, err := n.await(MsgFinal, w, msgKey{MsgKept, w})
 		if err != nil {
 			if errors.Is(err, ErrExchangeAbandoned) {
-				n.stats.AbandonedWindows++
 				n.rec.Add(obs.ProtocolAbandonedWindows, 1)
-				n.rec.Event(obs.EvAbandon, fmt.Sprintf("window=%d", w))
 				continue
 			}
 			return out, ignoreClosed(err)
@@ -524,9 +498,7 @@ func (n *Node) bobBlock(bits []byte, round int, wins, counts []int) (KeyOutcome,
 	conf, err := n.await(MsgConfirm, round, msgKey{MsgSyndrome, round})
 	if err != nil {
 		if errors.Is(err, ErrExchangeAbandoned) {
-			n.stats.AbandonedRounds++
 			n.rec.Add(obs.ProtocolAbandonedRounds, 1)
-			n.rec.Event(obs.EvAbandon, fmt.Sprintf("round=%d", round))
 			// Cache a denial so Alice's late CONFIRM retries still get a
 			// definitive answer and both sides record the round failed.
 			n.sent[msgKey{MsgResult, round}] = Envelope{Type: MsgResult, Round: round}
@@ -550,7 +522,6 @@ func (n *Node) bobBlock(bits []byte, round int, wins, counts []int) (KeyOutcome,
 	}
 	if !accepted {
 		n.rec.Add(obs.ProtocolConfirmFailures, 1)
-		n.rec.Event(obs.EvRound, fmt.Sprintf("round=%d rejected", round))
 		return KeyOutcome{Round: round, Err: roundErr(round, "result", ErrConfirmFailed)}, nil
 	}
 	key, err := n.Sys.Amplify(bits, salt)
@@ -558,7 +529,6 @@ func (n *Node) bobBlock(bits []byte, round int, wins, counts []int) (KeyOutcome,
 		return KeyOutcome{Round: round}, err
 	}
 	n.rec.Add(obs.ProtocolKeysConfirmed, 1)
-	n.rec.Event(obs.EvKey, fmt.Sprintf("round=%d", round))
 	return KeyOutcome{Key: key, Confirmed: true, Round: round}, nil
 }
 
@@ -641,9 +611,7 @@ func (n *Node) RunAlice(windows [][]float64) ([]KeyOutcome, error) {
 	fail := func(r int) {
 		if _, seen := outcomes[r]; !seen {
 			outcomes[r] = KeyOutcome{Round: r, Err: roundErr(r, "syndrome", ErrPeerTimeout)}
-			n.stats.AbandonedRounds++
 			n.rec.Add(obs.ProtocolAbandonedRounds, 1)
-			n.rec.Event(obs.EvAbandon, fmt.Sprintf("round=%d", r))
 		}
 	}
 
@@ -657,7 +625,6 @@ loop:
 		switch {
 		case err == nil:
 		case errors.Is(err, transport.ErrTimeout):
-			n.stats.Timeouts++
 			n.rec.Add(obs.ProtocolTimeouts, 1)
 			strikes++
 			if strikes > n.policy.MaxRetries {
@@ -675,7 +642,6 @@ loop:
 				n.resend(msgKey{MsgConfirm, lowest})
 			}
 			timeout = n.policy.next(timeout)
-			n.rec.Event(obs.EvBackoff, timeout.String())
 			continue
 		case errors.Is(err, errGarbage):
 			continue
@@ -689,20 +655,17 @@ loop:
 		case MsgKept:
 			w := e.Window
 			if w < 0 || w >= len(windows) {
-				n.stats.Garbage++
 				n.rec.Add(obs.ProtocolGarbage, 1)
 				continue
 			}
 			if _, done := winBits[w]; done {
-				n.stats.Stale++
 				n.rec.Add(obs.ProtocolStale, 1)
 				n.resend(msgKey{MsgFinal, w})
 				continue
 			}
 			bits, final, ok := pre[w].Select(e.Indices)
 			if !ok {
-				n.stats.Garbage++ // corrupted announcement; Bob will retry
-				n.rec.Add(obs.ProtocolGarbage, 1)
+				n.rec.Add(obs.ProtocolGarbage, 1) // corrupted announcement; Bob will retry
 				continue
 			}
 			winBits[w] = bits
@@ -713,7 +676,6 @@ loop:
 		case MsgSyndrome:
 			r := e.Round
 			if r < nextRound {
-				n.stats.Stale++
 				n.rec.Add(obs.ProtocolStale, 1)
 				n.resend(msgKey{MsgConfirm, r})
 				continue
@@ -723,7 +685,6 @@ loop:
 				// here so the back-fill loop below is locally, visibly
 				// bounded (allocbound) even if a new ingress path skips
 				// decode's caps.
-				n.stats.Garbage++
 				n.rec.Add(obs.ProtocolGarbage, 1)
 				continue
 			}
@@ -744,7 +705,6 @@ loop:
 				// The scheme rejected the code vector (hostile or
 				// wrong-length within the wire caps): the round cannot be
 				// reconciled. Bob's CONFIRM retries expire on their own.
-				n.stats.Garbage++
 				n.rec.Add(obs.ProtocolGarbage, 1)
 				fail(r)
 				continue
@@ -772,7 +732,6 @@ loop:
 			r := e.Round
 			p, ok := pending[r]
 			if !ok {
-				n.stats.Stale++
 				n.rec.Add(obs.ProtocolStale, 1)
 				continue
 			}
@@ -783,12 +742,10 @@ loop:
 				if key, err := n.Sys.Amplify(p.final, sessionSalt(n.Session, r)); err == nil {
 					o = KeyOutcome{Key: key, Confirmed: true, Round: r}
 					n.rec.Add(obs.ProtocolKeysConfirmed, 1)
-					n.rec.Event(obs.EvKey, fmt.Sprintf("round=%d", r))
 				}
 			}
 			if !o.Confirmed {
 				n.rec.Add(obs.ProtocolConfirmFailures, 1)
-				n.rec.Event(obs.EvRound, fmt.Sprintf("round=%d rejected", r))
 			}
 			// The round is resolved either way: its reconciled bits are an
 			// expired round key and must not outlive the resolution.
@@ -807,7 +764,6 @@ loop:
 			if e.Round > MaxRounds {
 				// Same defense-in-depth as MsgSyndrome: a hostile total
 				// must not drive the failure back-fill loop.
-				n.stats.Garbage++
 				n.rec.Add(obs.ProtocolGarbage, 1)
 				continue
 			}
@@ -829,7 +785,7 @@ loop:
 			}
 
 		default:
-			n.stats.Stale++
+			n.rec.Add(obs.ProtocolStale, 1)
 		}
 	}
 

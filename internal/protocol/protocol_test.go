@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -223,8 +224,10 @@ func TestAliceAcksDoneAfterLateResult(t *testing.T) {
 	a, b := transport.Pair()
 	defer a.Close()
 	defer b.Close()
+	bobReg := obs.NewRegistry()
 	alice := NewNode(h.sys, a, "s", WithRetryPolicy(RetryPolicy{Timeout: 20 * time.Millisecond, MaxRetries: 8}))
-	bob := NewNode(h.sys, &holdResults{Conn: b}, "s", WithRetryPolicy(RetryPolicy{Timeout: 2 * time.Second, MaxRetries: 2}))
+	bob := NewNode(h.sys, &holdResults{Conn: b}, "s", WithRetryPolicy(RetryPolicy{Timeout: 2 * time.Second, MaxRetries: 2}),
+		WithRecorder(bobReg))
 	var aliceOut, bobOut []KeyOutcome
 	var aliceErr, bobErr error
 	var wg sync.WaitGroup
@@ -239,7 +242,7 @@ func TestAliceAcksDoneAfterLateResult(t *testing.T) {
 		t.Fatal("no rounds to hold")
 	}
 	verifyOutcomes(t, aliceOut, bobOut)
-	if got := bob.Stats().Retransmits; got != len(bobOut) {
+	if got := counter(bobReg, obs.ProtocolRetransmits); got != int64(len(bobOut)) {
 		t.Fatalf("bob retransmitted %d times for %d rounds: DONE went unacknowledged", got, len(bobOut))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/nist"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -167,11 +168,11 @@ func TestBaselineSchemesUnderFaults(t *testing.T) {
 			for j, cell := range cells {
 				cell, cellSeed := cell, seed+int64(1000+17*j)
 				t.Run(cell.name, func(t *testing.T) {
-					aliceOut, bobOut, aliceNode, bobNode := runUnderFaults(t, h, cell.cfg, cellSeed)
+					aliceOut, bobOut, aliceReg, bobReg := runUnderFaults(t, h, cell.cfg, cellSeed)
 					agreed := agreedKeys(t, name+"/"+cell.name, aliceOut, bobOut)
-					as, bs := aliceNode.Stats(), bobNode.Stats()
-					t.Logf("%s/%s: agreed=%d aliceStats=%+v bobStats=%+v", name, cell.name, agreed, as, bs)
-					if as.Retransmits+bs.Retransmits == 0 {
+					t.Logf("%s/%s: agreed=%d alice=%v bob=%v", name, cell.name, agreed,
+						aliceReg.Snapshot().Counters, bobReg.Snapshot().Counters)
+					if counter(aliceReg, obs.ProtocolRetransmits)+counter(bobReg, obs.ProtocolRetransmits) == 0 {
 						t.Fatalf("%s/%s: loss injected but nobody retransmitted", name, cell.name)
 					}
 				})

@@ -81,16 +81,6 @@ func cascadePermCached(salt []byte, pass, n int) []int {
 	return p
 }
 
-// CacheStats snapshots the reconciler caches' hit/miss/eviction
-// counters, keyed by cache name. Diagnostics and tests only.
-func CacheStats() map[string]memo.Stats {
-	return map[string]memo.Stats{
-		"bloom":   bloomCache.Stats(),
-		"sensing": phiCache.Stats(),
-		"cascade": permCache.Stats(),
-	}
-}
-
 // ResetCaches drops every cached artifact (tests only; values are pure,
 // so this is never needed for correctness).
 func ResetCaches() {

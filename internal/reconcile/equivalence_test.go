@@ -378,15 +378,16 @@ func TestBloomForMatchesFresh(t *testing.T) {
 func TestBloomCacheEvictionChurn(t *testing.T) {
 	bits := rng.New(3).Bits(32)
 	want := NewBloomFilter(32, []byte("churn-0")).Transform(bits)
-	for i := 0; i < 300; i++ { // capacity is 128
+	first := bloomFor(32, []byte("churn-0"))
+	for i := 1; i < 300; i++ { // capacity is 128
 		bloomFor(32, []byte(fmt.Sprintf("churn-%d", i)))
 	}
-	got := bloomFor(32, []byte("churn-0")).Transform(bits)
-	if string(got) != string(want) {
-		t.Fatal("rebuilt-after-eviction filter differs from fresh")
+	rebuilt := bloomFor(32, []byte("churn-0"))
+	if rebuilt == first {
+		t.Fatal("churn did not evict the first filter")
 	}
-	if st := CacheStats()["bloom"]; st.Evictions == 0 {
-		t.Fatalf("churn produced no evictions: %+v", st)
+	if got := rebuilt.Transform(bits); string(got) != string(want) {
+		t.Fatal("rebuilt-after-eviction filter differs from fresh")
 	}
 }
 

@@ -30,6 +30,14 @@ func New(seed int64) *Source {
 // ID × grid index) gets a stream that depends only on the root seed and
 // the unit's identity, never on which worker ran it first.
 func SubSeed(seed int64, label string, index int) int64 {
+	return SubSeedUint64(seed, label, uint64(index))
+}
+
+// SubSeedUint64 is SubSeed over a full 64-bit index, such as a vehicle
+// ID: every bit of the index reaches the hash on every architecture,
+// where an int index would drop the upper half on 32-bit builds.
+// SubSeed(seed, label, i) == SubSeedUint64(seed, label, uint64(i)).
+func SubSeedUint64(seed int64, label string, index uint64) int64 {
 	// FNV-1a over the seed, label and index bytes, then a splitmix64
 	// finalizer so that near-identical tuples (index n vs n+1) land far
 	// apart in seed space.
@@ -45,7 +53,7 @@ func SubSeed(seed int64, label string, index int) int64 {
 		step(label[i])
 	}
 	for i := 0; i < 8; i++ {
-		step(byte(uint64(index) >> (8 * i)))
+		step(byte(index >> (8 * i)))
 	}
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9

@@ -106,6 +106,22 @@ func TestSubSeedNoCollisions(t *testing.T) {
 	}
 }
 
+// TestSubSeedUint64 pins the two entry points to one hash: an int index
+// and its uint64 conversion derive the same seed, and index bits above
+// 31 reach the hash even where int is 32 bits wide.
+func TestSubSeedUint64(t *testing.T) {
+	for _, index := range []int{0, 1, 7, -1, -7, math.MaxInt32, math.MinInt32} {
+		if got, want := SubSeedUint64(42, "fig12", uint64(index)), SubSeed(42, "fig12", index); got != want {
+			t.Errorf("index %d: SubSeedUint64 = %d, SubSeed = %d", index, got, want)
+		}
+	}
+	for _, id := range []uint64{1 << 32, 1 << 40, 1<<63 | 5} {
+		if SubSeedUint64(42, "server/session", id) == SubSeedUint64(42, "server/session", uint64(uint32(id))) {
+			t.Errorf("id %#x derives the same seed as its low 32 bits", id)
+		}
+	}
+}
+
 // TestSubSeedOrderIndependence: derivation is a pure function — no
 // hidden stream is consumed, so deriving sub-streams in any order, or
 // after arbitrary draws elsewhere, changes nothing. (Source.Derive

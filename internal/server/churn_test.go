@@ -209,9 +209,6 @@ func TestServerChurn(t *testing.T) {
 	}
 
 	// The gauge and the counters must agree with the audit trail.
-	if n := srv.ActiveSessions(); n != 0 {
-		t.Fatalf("%d sessions still active after Close", n)
-	}
 	snap := reg.Snapshot()
 	if g := snap.Gauges[obs.ServerActiveSessions]; g != 0 {
 		t.Fatalf("active-session gauge = %v after drain", g)

@@ -92,13 +92,14 @@ func SessionWindows(sc trace.Scenario, cfg core.Config, seed int64, vehicle uint
 // and vehicle ID, each selecting only its own side — the server (Alice)
 // trace.Alice, the vehicle (Bob) trace.Bob — and get exactly the windows
 // a joint derivation gives that side. The derivation reuses the
-// experiment engine's sub-stream discipline (rng.SubSeed), so every
+// experiment engine's sub-stream discipline (rng.SubSeedUint64 over the
+// full 64-bit ID), so every
 // vehicle gets a decoupled, order-independent channel realization, and
 // the trace layer's per-window normalization keeps these small
 // per-session datasets consistent with the training distribution.
 func SessionWindowsFor(sc trace.Scenario, cfg core.Config, seed int64, vehicle uint64, n int, rx trace.Receivers) (alice, bob [][]float64, err error) {
 	cfg.Normalize()
-	ds, err := trace.BuildFor(sc, rng.SubSeed(seed, "server/session", int(vehicle)), n, cfg.SeqLen, trace.DefaultExtract(), rx)
+	ds, err := trace.BuildFor(sc, rng.SubSeedUint64(seed, "server/session", vehicle), n, cfg.SeqLen, trace.DefaultExtract(), rx)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: session windows: %w", err)
 	}

@@ -246,9 +246,6 @@ func (s *Server) Serve(l transport.Listener) error {
 	}
 }
 
-// ActiveSessions reports the number of sessions currently being served.
-func (s *Server) ActiveSessions() int64 { return s.active.Load() }
-
 // Close shuts the server down gracefully: stop accepting, let running
 // sessions finish within DrainTimeout, then cut the stragglers. Safe to
 // call more than once; sessions queued but never started resolve as

@@ -7,26 +7,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
 
 // newWinCacheServer builds an unstarted Server (no listeners) so the
-// sessionWindows path can be exercised directly.
-func newWinCacheServer(t testing.TB, cacheSize int) *Server {
+// sessionWindows path can be exercised directly. It records into its
+// own registry, which it returns.
+func newWinCacheServer(t testing.TB, cacheSize int) (*Server, *obs.Registry) {
 	t.Helper()
+	reg := obs.NewRegistry()
 	srv, err := New(Config{
 		Template:        schemeTemplate(t, "lora-key"),
 		Scenario:        loopbackScenario(),
 		Seed:            loopbackSeed,
 		Workers:         1,
 		WindowCacheSize: cacheSize,
+		Recorder:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv
+	return srv, reg
 }
 
 func sameWindows(a, b [][]float64) bool {
@@ -50,7 +54,7 @@ func sameWindows(a, b [][]float64) bool {
 // derivation must be indistinguishable from Alice's side of the joint
 // SessionWindows — cold miss, warm hit, and with caching disabled.
 func TestSessionWindowsCachedByteIdentical(t *testing.T) {
-	srv := newWinCacheServer(t, 0) // 0 → default size
+	srv, _ := newWinCacheServer(t, 0) // 0 → default size
 	for _, vehicle := range []uint64{1, 99, 1 << 40} {
 		want, _, err := SessionWindows(loopbackScenario(), srv.cfg.Template.Cfg, loopbackSeed, vehicle, 6)
 		if err != nil {
@@ -77,7 +81,7 @@ func TestSessionWindowsCachedByteIdentical(t *testing.T) {
 		t.Fatalf("n=4 derivation returned %d windows", len(a4))
 	}
 
-	off := newWinCacheServer(t, -1)
+	off, _ := newWinCacheServer(t, -1)
 	if off.wins != nil {
 		t.Fatal("negative WindowCacheSize must disable the cache")
 	}
@@ -98,7 +102,7 @@ func TestSessionWindowsCachedByteIdentical(t *testing.T) {
 // evicted vehicle's rebuilt windows are still exact (purity: eviction
 // can only cost time, never correctness).
 func TestSessionWindowsCacheEviction(t *testing.T) {
-	srv := newWinCacheServer(t, 8)
+	srv, reg := newWinCacheServer(t, 8)
 	want, err := srv.sessionWindows(0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +112,13 @@ func TestSessionWindowsCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := srv.wins.Stats(); st.Evictions == 0 {
-		t.Fatalf("churn past capacity produced no evictions: %+v", st)
-	}
+	before := reg.Snapshot().Counters[cacheMissWindows]
 	got, err := srv.sessionWindows(0, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reg.Snapshot().Counters[cacheMissWindows] != before+1 {
+		t.Fatal("churn past capacity did not evict vehicle 0")
 	}
 	if !sameWindows(want, got) {
 		t.Fatal("rebuilt-after-eviction windows differ")
@@ -129,6 +134,7 @@ func TestWindowCacheConcurrentSessions(t *testing.T) {
 		t.Skip("connection soak")
 	}
 	template := schemeTemplate(t, "lora-key")
+	reg := obs.NewRegistry()
 	srv, err := New(Config{
 		Template:        template,
 		Scenario:        loopbackScenario(),
@@ -137,6 +143,7 @@ func TestWindowCacheConcurrentSessions(t *testing.T) {
 		WindowCacheSize: 4, // force eviction under concurrency
 		Retry:           loopbackPolicy,
 		HelloTimeout:    10 * time.Second,
+		Recorder:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +181,7 @@ func TestWindowCacheConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := srv.wins.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("repeated vehicle IDs produced no cache hits: %+v", st)
+	if reg.Snapshot().Counters[cacheHitWindows] == 0 {
+		t.Fatal("repeated vehicle IDs produced no cache hits")
 	}
 }

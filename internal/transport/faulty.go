@@ -51,19 +51,6 @@ func (c FaultConfig) Enabled() bool {
 	return c.Drop > 0 || c.Duplicate > 0 || c.Reorder > 0 || c.Corrupt > 0 || c.Delay > 0
 }
 
-// FaultStats counts what the injector did to the traffic that flowed
-// through one direction.
-type FaultStats struct {
-	Sent       int // messages handed to Send
-	Delivered  int // messages actually written to the inner conn
-	Dropped    int
-	Duplicated int
-	Reordered  int
-	Corrupted  int
-	Delayed    int
-	Received   int // messages read from the inner conn
-}
-
 // FaultyConn wraps a Conn and injects faults on the egress path. Wrap
 // both ends (with independently derived sources) to fault both
 // directions. It is safe for concurrent use.
@@ -71,11 +58,10 @@ type FaultyConn struct {
 	inner Conn
 	cfg   FaultConfig
 
-	mu    sync.Mutex
-	src   *rng.Source
-	held  []byte // message deferred by a reorder fault
-	stats FaultStats
-	rec   obs.Recorder
+	mu   sync.Mutex
+	src  *rng.Source
+	held []byte // message deferred by a reorder fault
+	rec  obs.Recorder
 }
 
 // SetRecorder routes the injector's fault outcomes into r as
@@ -94,7 +80,7 @@ func WrapFaulty(conn Conn, cfg FaultConfig, src *rng.Source) *FaultyConn {
 	if cfg.Delay > 0 && cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 5 * time.Millisecond
 	}
-	return &FaultyConn{inner: conn, cfg: cfg, src: src}
+	return &FaultyConn{inner: conn, cfg: cfg, src: src, rec: obs.Nop}
 }
 
 // FaultyPair returns an in-memory pair with both directions faulted under
@@ -104,23 +90,12 @@ func FaultyPair(cfg FaultConfig, src *rng.Source) (*FaultyConn, *FaultyConn) {
 	return WrapFaulty(a, cfg, src.Derive("faulty-a")), WrapFaulty(b, cfg, src.Derive("faulty-b"))
 }
 
-// Stats returns a snapshot of the injector's counters.
-func (c *FaultyConn) Stats() FaultStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
 // Send implements Conn, applying the fault schedule to the outgoing
 // message. Fault draws happen in Send-call order, so a single-goroutine
 // sender gets a fully deterministic schedule from the seed.
 func (c *FaultyConn) Send(msg []byte) error {
 	c.mu.Lock()
 	rec := c.rec
-	if rec == nil {
-		rec = obs.Nop
-	}
-	c.stats.Sent++
 	// Take any message held by an earlier reorder fault: it is released
 	// on this transmission event, after the current message.
 	prev := c.held
@@ -129,13 +104,11 @@ func (c *FaultyConn) Send(msg []byte) error {
 	var now [][]byte
 	var delay time.Duration
 	if c.src.Bernoulli(c.cfg.Drop) {
-		c.stats.Dropped++
 		rec.Add(faultDropped, 1)
 	} else {
 		cp := make([]byte, len(msg))
 		copy(cp, msg)
 		if len(cp) > 0 && c.src.Bernoulli(c.cfg.Corrupt) {
-			c.stats.Corrupted++
 			rec.Add(faultCorrupted, 1)
 			// Flip a burst of 1-4 bytes at a random offset.
 			n := 1 + c.src.Intn(4)
@@ -145,13 +118,11 @@ func (c *FaultyConn) Send(msg []byte) error {
 			}
 		}
 		if c.src.Bernoulli(c.cfg.Reorder) && prev == nil {
-			c.stats.Reordered++
 			rec.Add(faultReordered, 1)
 			c.held = cp
 		} else {
 			now = append(now, cp)
 			if c.src.Bernoulli(c.cfg.Duplicate) {
-				c.stats.Duplicated++
 				rec.Add(faultDuplicated, 1)
 				dup := make([]byte, len(cp))
 				copy(dup, cp)
@@ -159,7 +130,6 @@ func (c *FaultyConn) Send(msg []byte) error {
 			}
 		}
 		if len(now) > 0 && c.src.Bernoulli(c.cfg.Delay) {
-			c.stats.Delayed++
 			rec.Add(faultDelayed, 1)
 			delay = time.Duration(c.src.Uniform(0, float64(c.cfg.MaxDelay))) + time.Microsecond
 		}
@@ -167,7 +137,6 @@ func (c *FaultyConn) Send(msg []byte) error {
 	if prev != nil {
 		now = append(now, prev)
 	}
-	c.stats.Delivered += len(now)
 	rec.Add(faultDelivered, int64(len(now)))
 	c.mu.Unlock()
 
@@ -191,26 +160,10 @@ func (c *FaultyConn) Send(msg []byte) error {
 }
 
 // Recv implements Conn.
-func (c *FaultyConn) Recv() ([]byte, error) {
-	msg, err := c.inner.Recv()
-	if err == nil {
-		c.mu.Lock()
-		c.stats.Received++
-		c.mu.Unlock()
-	}
-	return msg, err
-}
+func (c *FaultyConn) Recv() ([]byte, error) { return c.inner.Recv() }
 
 // RecvTimeout implements Conn.
-func (c *FaultyConn) RecvTimeout(d time.Duration) ([]byte, error) {
-	msg, err := c.inner.RecvTimeout(d)
-	if err == nil {
-		c.mu.Lock()
-		c.stats.Received++
-		c.mu.Unlock()
-	}
-	return msg, err
-}
+func (c *FaultyConn) RecvTimeout(d time.Duration) ([]byte, error) { return c.inner.RecvTimeout(d) }
 
 // Close implements Conn, flushing a reorder-held message first so the
 // last message of a session cannot be silently starved.

@@ -7,8 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
+
+// faultCounts gives c its own registry and returns a reader for its
+// vk_transport_faults_total{kind} counters.
+func faultCounts(c *FaultyConn) func(kind string) int64 {
+	reg := obs.NewRegistry()
+	c.SetRecorder(reg)
+	return func(kind string) int64 {
+		return reg.Snapshot().Counters[obs.Labeled(obs.TransportFaults, "kind", kind)]
+	}
+}
 
 // collect receives until the timeout fires and returns everything seen.
 func collect(t *testing.T, c Conn, wait time.Duration) [][]byte {
@@ -27,6 +38,7 @@ func TestFaultyPassthrough(t *testing.T) {
 	a, b := FaultyPair(FaultConfig{}, rng.New(1))
 	defer a.Close()
 	defer b.Close()
+	count := faultCounts(a)
 	for i := 0; i < 10; i++ {
 		if err := a.Send([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -41,9 +53,13 @@ func TestFaultyPassthrough(t *testing.T) {
 			t.Fatalf("message %d reordered or corrupted: %v", i, m)
 		}
 	}
-	st := a.Stats()
-	if st.Sent != 10 || st.Delivered != 10 || st.Dropped+st.Duplicated+st.Reordered+st.Corrupted+st.Delayed != 0 {
-		t.Fatalf("unexpected stats: %+v", st)
+	if got := count("delivered"); got != 10 {
+		t.Fatalf("delivered counter = %d, want 10", got)
+	}
+	for _, kind := range []string{"dropped", "duplicated", "reordered", "corrupted", "delayed"} {
+		if got := count(kind); got != 0 {
+			t.Fatalf("zero-fault config counted %d %s", got, kind)
+		}
 	}
 }
 
@@ -52,6 +68,7 @@ func TestFaultyDropRate(t *testing.T) {
 	a, b := FaultyPair(FaultConfig{Drop: 0.25}, rng.New(7))
 	defer a.Close()
 	defer b.Close()
+	count := faultCounts(a)
 	for i := 0; i < n; i++ {
 		if err := a.Send([]byte(fmt.Sprintf("m%04d", i))); err != nil {
 			t.Fatal(err)
@@ -63,12 +80,12 @@ func TestFaultyDropRate(t *testing.T) {
 			}
 		}
 	}
-	st := a.Stats()
-	if st.Dropped < n/5 || st.Dropped > n/3 {
-		t.Fatalf("dropped %d of %d, far from 25%%", st.Dropped, n)
+	dropped, delivered := count("dropped"), count("delivered")
+	if dropped < n/5 || dropped > n/3 {
+		t.Fatalf("dropped %d of %d, far from 25%%", dropped, n)
 	}
-	if st.Delivered != n-st.Dropped {
-		t.Fatalf("delivered %d + dropped %d != sent %d", st.Delivered, st.Dropped, n)
+	if delivered != n-dropped {
+		t.Fatalf("delivered %d + dropped %d != sent %d", delivered, dropped, n)
 	}
 }
 
@@ -124,14 +141,15 @@ func TestFaultyReorderSwapsAdjacent(t *testing.T) {
 	// releases it after itself — an adjacent swap.
 	a, b := FaultyPair(FaultConfig{Reorder: 1}, rng.New(3))
 	defer b.Close()
+	count := faultCounts(a)
 	a.Send([]byte("first"))
 	a.Send([]byte("second"))
 	got := collect(t, b, 20*time.Millisecond)
 	if len(got) != 2 || string(got[0]) != "second" || string(got[1]) != "first" {
 		t.Fatalf("want [second first], got %q", got)
 	}
-	if st := a.Stats(); st.Reordered == 0 {
-		t.Fatalf("reorder not counted: %+v", st)
+	if count("reordered") == 0 {
+		t.Fatal("reorder not counted")
 	}
 	a.Close()
 }
@@ -180,13 +198,14 @@ func TestFaultyDelay(t *testing.T) {
 	a, b := FaultyPair(FaultConfig{Delay: 1, MaxDelay: 20 * time.Millisecond}, rng.New(8))
 	defer a.Close()
 	defer b.Close()
+	count := faultCounts(a)
 	a.Send([]byte("late"))
 	got, err := b.RecvTimeout(500 * time.Millisecond)
 	if err != nil || string(got) != "late" {
 		t.Fatalf("delayed message never arrived: %q %v", got, err)
 	}
-	if st := a.Stats(); st.Delayed != 1 {
-		t.Fatalf("delay not counted: %+v", st)
+	if got := count("delayed"); got != 1 {
+		t.Fatalf("delayed counter = %d, want 1", got)
 	}
 }
 
@@ -194,6 +213,7 @@ func TestFaultyConcurrent(t *testing.T) {
 	// Both directions faulted, both ends sending and receiving from
 	// separate goroutines: must be race-clean (run under -race).
 	a, b := FaultyPair(FaultConfig{Drop: 0.2, Duplicate: 0.2, Reorder: 0.2, Corrupt: 0.1}, rng.New(9))
+	count := faultCounts(a)
 	var senders, receivers sync.WaitGroup
 	done := make(chan struct{})
 	senders.Add(2)
@@ -225,9 +245,15 @@ func TestFaultyConcurrent(t *testing.T) {
 	senders.Wait()
 	close(done)
 	receivers.Wait()
+	// Every send is dropped, delivered once (plus any duplicate), or
+	// still held by a reorder fault that Close flushes uncounted.
+	held := int64(0)
+	if a.held != nil {
+		held = 1
+	}
 	a.Close()
 	b.Close()
-	if st := a.Stats(); st.Sent != 200 {
-		t.Fatalf("lost track of sends: %+v", st)
+	if got := count("dropped") + count("delivered") - count("duplicated") + held; got != 200 {
+		t.Fatalf("fault counters account for %d of 200 sends", got)
 	}
 }

@@ -8,14 +8,13 @@ import (
 )
 
 // Recorder is the observability hook every layer records into: counters,
-// gauges, histogram observations, and trace events, addressed by metric
-// name. The default everywhere is a no-op; set Options.Recorder to a
+// gauges and histogram observations, addressed by metric name. The default everywhere is a no-op; set Options.Recorder to a
 // *MetricsRegistry (or any implementation) to collect.
 type Recorder = obs.Recorder
 
-// MetricsRegistry is the concrete Recorder: lock-cheap instruments plus
-// a bounded event trace, exportable as a JSON snapshot (WriteJSON) or in
-// the Prometheus text format (WritePrometheus).
+// MetricsRegistry is the concrete Recorder: lock-cheap instruments,
+// exportable as a JSON snapshot (WriteJSON) or in the Prometheus text
+// format (WritePrometheus).
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry builds a registry with the full Vehicle-Key metric
