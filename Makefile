@@ -56,8 +56,10 @@ bench-compare:
 # hello and group frame codecs, TCP frame decoder), the reconcilers'
 # correction halves fed arbitrary peer code vectors (CS syndrome, AE
 # code), the fast-inference numerics (GEMM kernels vs the naive
-# multiply), the channel's cosine kernel (bit for bit vs math.Cos) and
-# its vector oscillator bank (bit for bit vs the per-term Cos sum).
+# multiply), the channel's cosine kernel (bit for bit vs math.Cos), its
+# vector oscillator bank (bit for bit vs the per-term Cos sum), and the
+# LSTM step's activation and recurrence kernels (bit for bit vs
+# Sigmoid/math.Tanh and AddMatVec).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHello -fuzztime 30s ./internal/server/
@@ -68,6 +70,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGEMM -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzCos$$' -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzOscBank$$' -fuzztime 30s ./internal/mathx/
+	$(GO) test -run '^$$' -fuzz '^FuzzActivations$$' -fuzztime 30s ./internal/mathx/
+	$(GO) test -run '^$$' -fuzz '^FuzzAddMatVecColMajor$$' -fuzztime 30s ./internal/mathx/
 
 # A small vkload run over real localhost TCP: 64 vehicles through the
 # session manager with the training-free lora-key scheme. CI runs this

@@ -11,6 +11,7 @@ package vehiclekey
 
 import (
 	"flag"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -97,17 +98,24 @@ func BenchmarkRunAllPrelim(b *testing.B) {
 
 // Micro-benchmarks of the pipeline's hot paths.
 
+// BenchmarkPredictorForward times one 32-step predictor forward at the
+// paper's full width (128 hidden units per direction) and at the
+// serving width every experiment and vkperf run (core.DefaultConfig's
+// 16).
 func BenchmarkPredictorForward(b *testing.B) {
-	src := rng.New(1)
-	// The paper's full-size model: 32 steps, 128 hidden units.
-	p := nn.NewPredictor(nn.PredictorConfig{SeqLen: 32, Hidden: 128, Bits: 64, Theta: 0.9}, src)
-	seq := make([]float64, 32)
-	for i := range seq {
-		seq[i] = src.Normal(0, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(seq)
+	for _, hidden := range []int{128, 16} {
+		b.Run(fmt.Sprintf("hidden=%d", hidden), func(b *testing.B) {
+			src := rng.New(1)
+			p := nn.NewPredictor(nn.PredictorConfig{SeqLen: 32, Hidden: hidden, Bits: 64, Theta: 0.9}, src)
+			seq := make([]float64, 32)
+			for i := range seq {
+				seq[i] = src.Normal(0, 1)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Forward(seq)
+			}
+		})
 	}
 }
 

@@ -36,6 +36,18 @@ func MatMulTBias(a []float64, m, k int, b []float64, n int, bias, out []float64)
 	if len(bias) < n {
 		panic("mathx: MatMulTBias bias shorter than n")
 	}
+	if k == 1 {
+		// One term per element, as in every LSTM input projection: the
+		// same product and the same add onto the bias seed, in one pass.
+		b, bias = b[:n], bias[:n]
+		for i, av := range a[:m] {
+			or := out[i*n : i*n+n]
+			for j, bv := range b {
+				or[j] = bias[j] + bv*av
+			}
+		}
+		return
+	}
 	for i0 := 0; i0 < m; i0 += gemmBlock {
 		iMax := min(i0+gemmBlock, m)
 		for j0 := 0; j0 < n; j0 += gemmBlock {
@@ -43,8 +55,9 @@ func MatMulTBias(a []float64, m, k int, b []float64, n int, bias, out []float64)
 			for i := i0; i < iMax; i++ {
 				ar := a[i*k : i*k+k]
 				or := out[i*n : i*n+n]
-				// Four output elements at a time, one accumulator each
-				// (as in AddMatVec): each still takes its terms in
+				// Four output elements at a time, one accumulator each:
+				// the four sums are independent, so their adds overlap
+				// in the pipeline, and each still takes its terms in
 				// ascending c.
 				j := j0
 				for ; j+4 <= jMax; j += 4 {
@@ -106,43 +119,6 @@ func MatVec(w []float64, rows, cols int, x, out []float64) {
 		sum := 0.0
 		for c, wv := range row {
 			sum += wv * x[c]
-		}
-		out[r] = sum
-	}
-}
-
-// AddMatVec accumulates out[r] += Σ_{c ascending} w[r*cols+c] * x[c],
-// continuing whatever sum out[r] already holds — the recurrent half of
-// an LSTM gate, whose reference loop appends the U·h terms after the
-// bias-seeded W·x terms in the same accumulator. out must not alias w
-// or x.
-//
-// Rows run four at a time with one accumulator each: the four sums are
-// independent, so their adds overlap in the pipeline instead of waiting
-// on one another, while each sum still takes its terms in ascending c.
-func AddMatVec(w []float64, rows, cols int, x, out []float64) {
-	checkMatVec(w, rows, cols, x, cols, out, rows)
-	x = x[:cols]
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		w0 := w[r*cols:][:len(x)]
-		w1 := w[(r+1)*cols:][:len(x)]
-		w2 := w[(r+2)*cols:][:len(x)]
-		w3 := w[(r+3)*cols:][:len(x)]
-		s0, s1, s2, s3 := out[r], out[r+1], out[r+2], out[r+3]
-		for c, xv := range x {
-			s0 += w0[c] * xv
-			s1 += w1[c] * xv
-			s2 += w2[c] * xv
-			s3 += w3[c] * xv
-		}
-		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
-	}
-	for ; r < rows; r++ {
-		row := w[r*cols:][:len(x)]
-		sum := out[r]
-		for c, xv := range x {
-			sum += row[c] * xv
 		}
 		out[r] = sum
 	}

@@ -1,20 +1,21 @@
 package mathx
 
-// haveAVX2 selects OscBank's vector kernel, once, from what the CPU and
-// the operating system support.
+// haveAVX2 selects the vector kernels (OscBank's and the LSTM step's),
+// once, from what the CPU and the operating system support.
 var haveAVX2 = cpuHasAVX2()
 
-// cpuHasAVX2 reports AVX2 support (CPUID leaf 7, EBX bit 5) together
-// with an OS that saves the YMM registers across context switches
-// (CPUID leaf 1 OSXSAVE and AVX, and XCR0 enabling both XMM and YMM
-// state).
+// cpuHasAVX2 reports AVX2 support (CPUID leaf 7, EBX bit 5) and FMA
+// (CPUID leaf 1, ECX bit 12) together with an OS that saves the YMM
+// registers across context switches (CPUID leaf 1 OSXSAVE and AVX, and
+// XCR0 enabling both XMM and YMM state). With AVX and FMA, math.Exp
+// takes the FMA path the activation lanes reproduce.
 func cpuHasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	const xmmYMMState = 1<<1 | 1<<2

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/mathx"
+)
 
 // Activation identifies a pointwise nonlinearity.
 type Activation int
@@ -17,7 +21,7 @@ const (
 func (a Activation) Apply(x float64) float64 {
 	switch a {
 	case Sigmoid:
-		return sigmoid(x)
+		return mathx.Sigmoid(x)
 	case Tanh:
 		return math.Tanh(x)
 	case ReLU:
@@ -47,14 +51,4 @@ func (a Activation) DerivFromOutput(y float64) float64 {
 	default:
 		return 1
 	}
-}
-
-func sigmoid(x float64) float64 {
-	// Numerically stable split avoids overflow for large |x|.
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	return z / (1 + z)
 }

@@ -39,7 +39,11 @@ func (d *Dense) Params() Params { return Params{d.w, d.b} }
 func (d *Dense) forward(x []float64, rows int, y []float64) {
 	y = y[:rows*d.Out]
 	mathx.MatMulTBias(x, rows, d.In, d.w.W, d.Out, d.b.W, y)
-	if d.Act != Identity {
+	switch d.Act {
+	case Identity:
+	case Sigmoid:
+		mathx.Sigmoids(y, y)
+	default:
 		for i, v := range y {
 			y[i] = d.Act.Apply(v)
 		}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mathx"
 	"repro/internal/rng"
@@ -24,18 +23,20 @@ import (
 //
 //	sum := b[r]; for c { sum += W[r][c]*x[c] }; for c { sum += U[r][c]*h[c] }; act(sum)
 //
-// The bias-seeded W·x prefix of all timesteps comes from one
-// mathx.MatMulTBias per gate (same seed, same c order); the U·h terms
-// are appended per step with mathx.AddMatVec (same accumulator, same c
-// order); then the same activation. Storing the half-finished
-// accumulator to memory between the two kernels does not change its
-// value — Go float64 is strict IEEE 754 with no extended-precision
-// carry-over. The zero initial state is NOT special-cased: the
-// reference adds the U·0 terms (which can flip -0 to +0), so this loop
-// adds them too. Backward keeps each gradient element's term order (and
-// the reference's skip of exactly-zero gate deltas). infer_test.go and
-// trainref_test.go pin all of this with math.Float64bits against the
-// per-step reference.
+// The four gates run stacked, in i, f, o, g order: the bias-seeded W·x
+// prefix of all timesteps comes from one mathx.MatMulTBias over the
+// stacked W (same seed, same c order); each step appends the U·h terms
+// with one mathx.AddMatVecColMajor over the stacked U, stored
+// column-major so that rows run in vector lanes (same accumulator, same
+// c order); then mathx.Sigmoids and mathx.Tanhs apply the same
+// activations. Storing the half-finished accumulator to memory between
+// the kernels does not change its value — Go float64 is strict IEEE 754
+// with no extended-precision carry-over. The zero initial state is NOT
+// special-cased: the reference adds the U·0 terms (which can flip -0 to
+// +0), so this loop adds them too. Backward keeps each gradient
+// element's term order (and the reference's skip of exactly-zero gate
+// deltas). infer_test.go and trainref_test.go pin all of this with
+// math.Float64bits against the per-step reference.
 type LSTM struct {
 	InDim  int
 	Hidden int
@@ -50,17 +51,20 @@ type LSTM struct {
 }
 
 // lstmCache holds the last Forward's activations for Backward plus the
-// backward scratch, all flat T×Hidden and reused across calls.
+// forward's stacked weights and the backward scratch, all flat and
+// reused across calls.
 type lstmCache struct {
-	T          int
-	xs, h      []float64 // last input and output (caller-owned, not copied)
-	i, f, o, g []float64 // gate outputs (the projections, activated in place)
-	c, tc      []float64 // cell and tanh(cell)
-	zero       []float64 // the zero initial state h₀ = c₀
-	di, df     []float64 // gate deltas, kept for the gradient pass
-	do, dg     []float64
-	dhNext     []float64
-	dcNext     []float64
+	T      int
+	xs, h  []float64 // last input and output (caller-owned, not copied)
+	gates  []float64 // T×4·Hidden: each step's i, f, o, g outputs (the projections, activated in place)
+	c, tc  []float64 // T×Hidden cell and tanh(cell)
+	zero   []float64 // the zero initial state h₀ = c₀
+	w, b   []float64 // the gates' W (4·Hidden×InDim) and b, stacked in gate order
+	ut     []float64 // the gates' U stacked and stored column-major (Hidden columns of 4·Hidden)
+	di, df []float64 // T×Hidden gate deltas, kept for the gradient pass
+	do, dg []float64
+	dhNext []float64
+	dcNext []float64
 }
 
 // NewLSTM creates an LSTM with Xavier-initialized weights and the
@@ -117,44 +121,46 @@ func (l *LSTM) Forward(xs []float64, T int, out []float64) {
 	}
 	cc := &l.cache
 	cc.T, cc.xs, cc.h = T, xs, out[:T*hd]
-	pi := grow(&cc.i, T*hd)
-	pf := grow(&cc.f, T*hd)
-	po := grow(&cc.o, T*hd)
-	pg := grow(&cc.g, T*hd)
+	g4 := 4 * hd
+	gates := grow(&cc.gates, T*g4)
 	cs := grow(&cc.c, T*hd)
 	tcs := grow(&cc.tc, T*hd)
-	// Batched bias-seeded input projections: p_g[t][r] = b_g[r] + Σ_c W_g[r][c]·x[t][c].
-	mathx.MatMulTBias(xs, T, in, l.wi.W, hd, l.bi.W, pi)
-	mathx.MatMulTBias(xs, T, in, l.wf.W, hd, l.bf.W, pf)
-	mathx.MatMulTBias(xs, T, in, l.wo.W, hd, l.bo.W, po)
-	mathx.MatMulTBias(xs, T, in, l.wg.W, hd, l.bg.W, pg)
+	// Stack the gates' weights afresh on every call, so a training step's
+	// update is never stale.
+	w := grow(&cc.w, g4*in)
+	b := grow(&cc.b, g4)
+	ut := grow(&cc.ut, hd*g4)
+	for k, gate := range [4][3]*Param{{l.wi, l.ui, l.bi}, {l.wf, l.uf, l.bf}, {l.wo, l.uo, l.bo}, {l.wg, l.ug, l.bg}} {
+		copy(w[k*hd*in:], gate[0].W)
+		copy(b[k*hd:], gate[2].W)
+		for r := 0; r < hd; r++ {
+			for c, v := range gate[1].W[r*hd : r*hd+hd] {
+				ut[c*g4+k*hd+r] = v
+			}
+		}
+	}
+	// Batched bias-seeded input projections: gates[t][k·H+r] = b_k[r] + Σ_c W_k[r][c]·x[t][c].
+	mathx.MatMulTBias(xs, T, in, w, g4, b, gates)
 
 	zero := zeros(&cc.zero, hd)
 	hPrev, cPrev := zero, zero
 	for t := 0; t < T; t++ {
-		ri := pi[t*hd : t*hd+hd]
-		rf := pf[t*hd : t*hd+hd]
-		ro := po[t*hd : t*hd+hd]
-		rg := pg[t*hd : t*hd+hd]
+		gt := gates[t*g4 : t*g4+g4]
 		// Append the recurrent U·h terms to the stored accumulators —
 		// same op order as the reference gate — then activate in place.
-		mathx.AddMatVec(l.ui.W, hd, hd, hPrev, ri)
-		mathx.AddMatVec(l.uf.W, hd, hd, hPrev, rf)
-		mathx.AddMatVec(l.uo.W, hd, hd, hPrev, ro)
-		mathx.AddMatVec(l.ug.W, hd, hd, hPrev, rg)
+		mathx.AddMatVecColMajor(ut, g4, hd, hPrev, gt)
+		mathx.Sigmoids(gt[:3*hd], gt[:3*hd])
+		mathx.Tanhs(gt[3*hd:], gt[3*hd:])
+		iv, fv, ov, gv := gt[:hd], gt[hd:2*hd], gt[2*hd:3*hd], gt[3*hd:]
 		ct := cs[t*hd : t*hd+hd]
+		for r := range ct {
+			ct[r] = fv[r]*cPrev[r] + iv[r]*gv[r]
+		}
 		tct := tcs[t*hd : t*hd+hd]
+		mathx.Tanhs(tct, ct)
 		ht := out[t*hd : t*hd+hd]
-		for r := 0; r < hd; r++ {
-			iv := sigmoid(ri[r])
-			fv := sigmoid(rf[r])
-			ov := sigmoid(ro[r])
-			gv := math.Tanh(rg[r])
-			ri[r], rf[r], ro[r], rg[r] = iv, fv, ov, gv
-			cv := fv*cPrev[r] + iv*gv
-			tv := math.Tanh(cv)
-			ct[r], tct[r] = cv, tv
-			ht[r] = ov * tv
+		for r := range ht {
+			ht[r] = ov[r] * tct[r]
 		}
 		hPrev, cPrev = ht, ct
 	}
@@ -183,8 +189,8 @@ func (l *LSTM) Backward(dhs []float64) {
 		if t > 0 {
 			cPrev = cc.c[(t-1)*hd : t*hd]
 		}
-		k := t * hd
-		it, ft, ot, gt := cc.i[k:k+hd], cc.f[k:k+hd], cc.o[k:k+hd], cc.g[k:k+hd]
+		k, k4 := t*hd, 4*t*hd
+		it, ft, ot, gt := cc.gates[k4:k4+hd], cc.gates[k4+hd:k4+2*hd], cc.gates[k4+2*hd:k4+3*hd], cc.gates[k4+3*hd:k4+4*hd]
 		tct, dht := cc.tc[k:k+hd], dhs[k:k+hd]
 		dit, dft, dot, dgt := di[k:k+hd], df[k:k+hd], do[k:k+hd], dg[k:k+hd]
 		for r := 0; r < hd; r++ {

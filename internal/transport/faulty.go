@@ -166,11 +166,15 @@ func (c *FaultyConn) Recv() ([]byte, error) { return c.inner.Recv() }
 func (c *FaultyConn) RecvTimeout(d time.Duration) ([]byte, error) { return c.inner.RecvTimeout(d) }
 
 // Close implements Conn, flushing a reorder-held message first so the
-// last message of a session cannot be silently starved.
+// last message of a session cannot be silently starved. The flushed
+// message counts as delivered, like every other message released.
 func (c *FaultyConn) Close() error {
 	c.mu.Lock()
 	held := c.held
 	c.held = nil
+	if held != nil {
+		c.rec.Add(faultDelivered, 1)
+	}
 	c.mu.Unlock()
 	if held != nil {
 		_ = c.inner.Send(held)
