@@ -57,9 +57,10 @@ bench-compare:
 # correction halves fed arbitrary peer code vectors (CS syndrome, AE
 # code), the fast-inference numerics (GEMM kernels vs the naive
 # multiply), the channel's cosine kernel (bit for bit vs math.Cos), its
-# vector oscillator bank (bit for bit vs the per-term Cos sum), and the
-# LSTM step's activation and recurrence kernels (bit for bit vs
-# Sigmoid/math.Tanh and AddMatVec).
+# vector oscillator bank (bit for bit vs the per-term Cos sum), its
+# decimal-log lanes and exact remainder (bit for bit vs math.Log10 and
+# math.Mod), and the LSTM step's activation and recurrence kernels (bit
+# for bit vs Sigmoid/math.Tanh and AddMatVec).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHello -fuzztime 30s ./internal/server/
@@ -70,6 +71,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGEMM -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzCos$$' -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzOscBank$$' -fuzztime 30s ./internal/mathx/
+	$(GO) test -run '^$$' -fuzz '^FuzzLog10s$$' -fuzztime 30s ./internal/mathx/
+	$(GO) test -run '^$$' -fuzz '^FuzzMod$$' -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzActivations$$' -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzAddMatVecColMajor$$' -fuzztime 30s ./internal/mathx/
 

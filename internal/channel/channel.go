@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/mathx"
 	"repro/internal/rng"
 )
 
@@ -267,13 +268,14 @@ type Model struct {
 	// shadowing is only partially correlated with the legitimate link's
 	// (mixing weight exp(−offset/decorr)) and her small-scale fading is
 	// fully independent — she is far beyond λ/2 from Alice's antenna.
-	eveFader  *Fader
+	eveFader  lazyFader
 	eveShadow *ShadowProcess
 	eveMix    float64 // shadow cross-correlation with the legitimate link
+	eveOwn    float64 // √(1 − eveMix²), the weight of Eve's own shadowing
 
 	// Eavesdropping Eve: parked near Bob, same partial-shadow and
 	// independent-fading structure on the Alice→Eve path.
-	eveFarFader  *Fader
+	eveFarFader  lazyFader
 	eveFarShadow *ShadowProcess
 
 	buf []float64 // scratch for the gain forms
@@ -289,10 +291,11 @@ func NewModel(cfg Config, src *rng.Source) *Model {
 		mob:          NewMobility(cfg, src.Derive("mobility")),
 		shadow:       NewShadowProcess(cfg.ShadowSigmaDB, cfg.ShadowDecorrM, src.Derive("shadow")),
 		fader:        NewFader(fd, cfg.RicianK, src.Derive("fading")),
-		eveFader:     NewFader(fd, cfg.RicianK, src.Derive("eve-fading")),
+		eveFader:     lazyFader{fd: fd, k: cfg.RicianK, src: src.Derive("eve-fading")},
 		eveShadow:    NewShadowProcess(cfg.ShadowSigmaDB, cfg.ShadowDecorrM, src.Derive("eve-shadow")),
 		eveMix:       cfg.EveShadowCorr,
-		eveFarFader:  NewFader(fd, cfg.RicianK, src.Derive("eve-far-fading")),
+		eveOwn:       math.Sqrt(1 - cfg.EveShadowCorr*cfg.EveShadowCorr),
+		eveFarFader:  lazyFader{fd: fd, k: cfg.RicianK, src: src.Derive("eve-far-fading")},
 		eveFarShadow: NewShadowProcess(cfg.ShadowSigmaDB, cfg.ShadowDecorrM, src.Derive("eve-far-shadow")),
 	}
 	return m
@@ -301,15 +304,30 @@ func NewModel(cfg Config, src *rng.Source) *Model {
 // Config returns the normalized configuration the model was built with.
 func (m *Model) Config() Config { return m.cfg }
 
+// lazyFader is a Fader built from its stream at its first query, so an
+// Eve link nobody queries never seeds or draws that stream.
+type lazyFader struct {
+	fd, k float64
+	src   *rng.Source
+	f     *Fader
+}
+
+func (l *lazyFader) fader() *Fader {
+	if l.f == nil {
+		l.f = NewFader(l.fd, l.k, l.src)
+	}
+	return l.f
+}
+
 // GainsDB writes the reciprocal Alice↔Bob channel gain at each time
 // ts[i] seconds into out[i]. out must be at least as long as ts.
 func (m *Model) GainsDB(ts, out []float64) {
-	m.fader.envelopesDB(ts, out, m.scratch(len(ts)))
+	pl := m.scratch(len(ts))
+	m.fader.envelopesDB(ts, out, pl)
+	m.pathLossesDB(ts, 0, pl)
 	for i, t := range ts {
-		d := m.mob.Distance(t)
-		pl := m.pathLossDB(d)
 		sh := m.shadow.At(m.mob.RoutePosition(t))
-		out[i] = -pl + sh + out[i]
+		out[i] = -pl[i] + sh + out[i]
 	}
 }
 
@@ -318,13 +336,13 @@ func (m *Model) GainsDB(ts, out []float64) {
 // behind her: identical path loss trend, shadowing sampled slightly
 // earlier along the route, independent small-scale fading.
 func (m *Model) EveImitateGainsDB(ts, out []float64) {
-	m.eveFader.envelopesDB(ts, out, m.scratch(len(ts)))
+	pl := m.scratch(len(ts))
+	m.eveFader.fader().envelopesDB(ts, out, pl)
+	m.pathLossesDB(ts, m.cfg.EveOffsetM, pl)
 	for i, t := range ts {
-		d := m.mob.Distance(t) + m.cfg.EveOffsetM
-		pl := m.pathLossDB(d)
 		pos := m.mob.RoutePosition(t)
 		sh := m.mixedShadow(m.shadow.At(pos-m.cfg.EveOffsetM), m.eveShadow.At(pos))
-		out[i] = -pl + sh + out[i]
+		out[i] = -pl[i] + sh + out[i]
 	}
 }
 
@@ -332,7 +350,7 @@ func (m *Model) EveImitateGainsDB(ts, out []float64) {
 // cross-correlation equals eveMix while the marginal variance is
 // preserved.
 func (m *Model) mixedShadow(legit, own float64) float64 {
-	return m.eveMix*legit + math.Sqrt(1-m.eveMix*m.eveMix)*own
+	return m.eveMix*legit + m.eveOwn*own
 }
 
 // EveEavesdropGainsDB writes the gain of the Alice→Eve channel at each
@@ -340,18 +358,18 @@ func (m *Model) mixedShadow(legit, own float64) float64 {
 // distance, but fully independent shadowing and fading (she is far
 // beyond λ/2 from Bob's antenna).
 func (m *Model) EveEavesdropGainsDB(ts, out []float64) {
-	m.eveFarFader.envelopesDB(ts, out, m.scratch(len(ts)))
+	pl := m.scratch(len(ts))
+	m.eveFarFader.fader().envelopesDB(ts, out, pl)
+	m.pathLossesDB(ts, m.cfg.EveOffsetM, pl)
 	for i, t := range ts {
-		d := m.mob.Distance(t) + m.cfg.EveOffsetM
-		pl := m.pathLossDB(d)
 		pos := m.mob.RoutePosition(t)
 		sh := m.mixedShadow(m.shadow.At(pos), m.eveFarShadow.At(pos))
-		out[i] = -pl + sh + out[i]
+		out[i] = -pl[i] + sh + out[i]
 	}
 }
 
-// scratch returns the model's reusable buffer for n values (the
-// quadrature the envelopes are formed from).
+// scratch returns the model's reusable buffer for n values: the
+// quadrature the envelopes are formed from, then the path losses.
 func (m *Model) scratch(n int) []float64 {
 	if cap(m.buf) < n {
 		m.buf = make([]float64, n)
@@ -362,9 +380,21 @@ func (m *Model) scratch(n int) []float64 {
 // Distance reports the Alice–Bob separation at time t.
 func (m *Model) Distance(t float64) float64 { return m.mob.Distance(t) }
 
-func (m *Model) pathLossDB(d float64) float64 {
-	if d < 1 {
-		d = 1
+// pathLossesDB writes the log-distance path loss at each time ts[i]
+// into out[i], for endpoints offset metres further apart than Alice and
+// Bob (0 for the legitimate link: d + 0 is d for every distance the
+// 1 m clamp keeps), with one Log10s over all the distances.
+func (m *Model) pathLossesDB(ts []float64, offset float64, out []float64) {
+	out = out[:len(ts)]
+	for i, t := range ts {
+		d := m.mob.Distance(t) + offset
+		if d < 1 {
+			d = 1
+		}
+		out[i] = d
 	}
-	return m.cfg.RefLossDB + 10*m.cfg.PathLossExp*log10(d)
+	mathx.Log10s(out, out)
+	for i, l := range out {
+		out[i] = m.cfg.RefLossDB + 10*m.cfg.PathLossExp*l
+	}
 }

@@ -75,10 +75,22 @@ func (f *Fader) Gains(ts, re, im []float64) {
 // envelopesDB writes the envelope |gain| in dB at each time ts[i] into
 // out[i], floored at −60 dB to keep deep fades finite (receivers lose
 // the packet long before that anyway). im is scratch as long as ts.
+// The envelopes' logarithms come from one Log10s, and a zero envelope
+// keeps log10's −30, so every value is 20·log10(Hypot(re, im)) floored,
+// bit for bit.
 func (f *Fader) envelopesDB(ts, out, im []float64) {
 	f.Gains(ts, out, im)
-	for i, re := range out[:len(ts)] {
-		db := 20 * log10(math.Hypot(re, im[i]))
+	out = out[:len(ts)]
+	for i, re := range out {
+		out[i] = math.Hypot(re, im[i])
+	}
+	mathx.Log10s(out, im)
+	for i, env := range out {
+		l := im[i]
+		if env <= 0 {
+			l = log10(env)
+		}
+		db := 20 * l
 		if db < -60 {
 			db = -60
 		}

@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 
+	"repro/internal/mathx"
 	"repro/internal/rng"
 )
 
@@ -65,7 +66,7 @@ func bounce(x, length float64) float64 {
 		return 0
 	}
 	period := 2 * length
-	x = math.Mod(x, period)
+	x = mathx.Mod(x, period)
 	if x < 0 {
 		x += period
 	}

@@ -18,6 +18,7 @@ type ShadowProcess struct {
 	sigma  float64
 	step   float64 // grid spacing in metres
 	rho    float64 // AR(1) coefficient between adjacent grid points
+	innov  float64 // σ·√(1−ρ²), the AR(1) innovation's std deviation
 	src    *rng.Source
 	values []float64
 }
@@ -32,10 +33,12 @@ func NewShadowProcess(sigma, decorr float64, src *rng.Source) *ShadowProcess {
 	if decorr <= 0 {
 		decorr = 1
 	}
+	rho := math.Exp(-shadowGridStep / decorr)
 	return &ShadowProcess{
 		sigma: sigma,
 		step:  shadowGridStep,
-		rho:   math.Exp(-shadowGridStep / decorr),
+		rho:   rho,
+		innov: sigma * math.Sqrt(1-rho*rho),
 		src:   src,
 	}
 }
@@ -62,7 +65,7 @@ func (s *ShadowProcess) extend(upto int) {
 			continue
 		}
 		prev := s.values[len(s.values)-1]
-		innov := s.src.Normal(0, s.sigma*math.Sqrt(1-s.rho*s.rho))
+		innov := s.src.Normal(0, s.innov)
 		s.values = append(s.values, s.rho*prev+innov)
 	}
 }

@@ -168,7 +168,7 @@ func TestReceiveMatchesPerReadLoop(t *testing.T) {
 				for k := 0; k < rssiSmoothingTaps; k++ {
 					sum += testRSSI(ts - RSSISmoothing*float64(k)/float64(rssiSmoothingTaps))
 				}
-				v := sum/rssiSmoothingTaps + ref.gainBiasDB + ref.src.Normal(0, ref.prof.noiseStdDB)
+				v := sum/rssiSmoothingTaps + ref.GainBiasDB() + ref.src.Normal(0, ref.prof.noiseStdDB)
 				want = append(want, math.Round(v/ref.prof.rssiStepDB)*ref.prof.rssiStepDB)
 			}
 			if got := unit.Receive(batched(testRSSI), at, 1.712).RRSSI; !sameBits(got, want) {

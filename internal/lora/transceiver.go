@@ -30,11 +30,15 @@ const rssiSmoothingTaps = 3
 //
 // A Transceiver is not safe for concurrent use.
 type Transceiver struct {
-	dev        DeviceType
-	prof       profile
+	dev  DeviceType
+	prof profile
+	src  *rng.Source
+
+	// gainBiasDB is the unit's constant bias, the first draw from src.
+	// It is taken (and biased set) at the unit's first draw of any
+	// kind, so a unit that never draws never seeds its stream.
 	gainBiasDB float64
-	src        *rng.Source
-	interval   float64
+	biased     bool
 
 	// owed counts read-noise draws that ReceiveRange skipped. They are
 	// taken, in order, before the unit's next draw (a read or OpDelay),
@@ -48,29 +52,23 @@ type Transceiver struct {
 }
 
 // NewTransceiver creates a transceiver of the given device type whose
-// per-unit imperfections are drawn from src.
+// per-unit imperfections are drawn from src, in order: first the gain
+// bias, then every read's noise and every OpDelay as they come.
 func NewTransceiver(dev DeviceType, src *rng.Source) *Transceiver {
-	prof := dev.profile()
-	return &Transceiver{
-		dev:        dev,
-		prof:       prof,
-		gainBiasDB: src.Normal(0, prof.gainBiasStdDB),
-		src:        src,
-		interval:   RegisterSampleInterval,
-	}
+	return &Transceiver{dev: dev, prof: dev.profile(), src: src}
 }
 
 // Device returns the transceiver's device type.
 func (t *Transceiver) Device() DeviceType { return t.dev }
 
-// GainBiasDB exposes the unit's constant hardware bias (useful in tests).
-func (t *Transceiver) GainBiasDB() float64 { return t.gainBiasDB }
-
-// SetSampleInterval overrides the register polling interval (seconds).
-func (t *Transceiver) SetSampleInterval(s float64) {
-	if s > 0 {
-		t.interval = s
+// GainBiasDB returns the unit's constant hardware bias. Calling it
+// counts as a draw: the bias is drawn now if the unit has not drawn yet.
+func (t *Transceiver) GainBiasDB() float64 {
+	if !t.biased {
+		t.gainBiasDB = t.src.Normal(0, t.prof.gainBiasStdDB)
+		t.biased = true
 	}
+	return t.gainBiasDB
 }
 
 // OpDelay returns one sample of the host's RX→TX turnaround delay.
@@ -79,8 +77,10 @@ func (t *Transceiver) OpDelay() float64 {
 	return t.prof.opDelayMeanS + t.src.Uniform(-t.prof.opDelayJitterS, t.prof.opDelayJitterS)
 }
 
-// settle takes the owed read-noise draws.
+// settle takes the gain bias, if not yet drawn, and then the owed
+// read-noise draws: every draw of the unit comes after it.
 func (t *Transceiver) settle() {
+	t.GainBiasDB()
 	for ; t.owed > 0; t.owed-- {
 		t.src.Normal(0, t.prof.noiseStdDB)
 	}
@@ -100,7 +100,7 @@ type Reception struct {
 // Reads returns how many register reads the host takes while a packet
 // of the given airtime is on the air (at least one).
 func (t *Transceiver) Reads(airtime float64) int {
-	n := int(airtime / t.interval)
+	n := int(airtime / RegisterSampleInterval)
 	if n < 1 {
 		n = 1
 	}
@@ -110,7 +110,7 @@ func (t *Transceiver) Reads(airtime float64) int {
 // readTime is the absolute timestamp of register read i of a reception
 // starting at start.
 func (t *Transceiver) readTime(start float64, i int) float64 {
-	return start + (float64(i)+0.5)*t.interval
+	return start + (float64(i)+0.5)*RegisterSampleInterval
 }
 
 // Receive simulates receiving one packet that is on the air during

@@ -48,6 +48,10 @@ func MatMulTBias(a []float64, m, k int, b []float64, n int, bias, out []float64)
 		}
 		return
 	}
+	if n < 4 {
+		matMulTBiasNarrow(a, m, k, b, n, bias, out)
+		return
+	}
 	for i0 := 0; i0 < m; i0 += gemmBlock {
 		iMax := min(i0+gemmBlock, m)
 		for j0 := 0; j0 < n; j0 += gemmBlock {
@@ -83,6 +87,40 @@ func MatMulTBias(a []float64, m, k int, b []float64, n int, bias, out []float64)
 					or[j] = sum
 				}
 			}
+		}
+	}
+}
+
+// matMulTBiasNarrow is MatMulTBias for n < 4 B-rows (the predictor
+// heads have one or two), too few for four accumulators along a row of
+// out. It takes four A-rows per pass instead: four independent sums
+// down a column of out, each seeded at bias[j] and adding its terms in
+// ascending c.
+func matMulTBiasNarrow(a []float64, m, k int, b []float64, n int, bias, out []float64) {
+	for j := 0; j < n; j++ {
+		br := b[j*k : j*k+k]
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			a0 := a[i*k:][:len(br)]
+			a1 := a[(i+1)*k:][:len(br)]
+			a2 := a[(i+2)*k:][:len(br)]
+			a3 := a[(i+3)*k:][:len(br)]
+			s0, s1, s2, s3 := bias[j], bias[j], bias[j], bias[j]
+			for c, bv := range br {
+				s0 += bv * a0[c]
+				s1 += bv * a1[c]
+				s2 += bv * a2[c]
+				s3 += bv * a3[c]
+			}
+			out[i*n+j], out[(i+1)*n+j], out[(i+2)*n+j], out[(i+3)*n+j] = s0, s1, s2, s3
+		}
+		for ; i < m; i++ {
+			ar := a[i*k:][:len(br)]
+			sum := bias[j]
+			for c, bv := range br {
+				sum += bv * ar[c]
+			}
+			out[i*n+j] = sum
 		}
 	}
 }

@@ -59,14 +59,17 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 
 // TestMatMulTBiasMatchesNaive crosses the block boundary (gemmBlock=64)
 // in both output dimensions so the tiled loops are exercised, runs the
-// one-term (k = 1) path at LSTM input-projection shapes, and checks
-// byte-identity against the unblocked reference.
+// one-term (k = 1) path at LSTM input-projection shapes and the narrow
+// (n < 4) path at predictor-head shapes (k = 32, whole and partial
+// four-row passes), and checks byte-identity against the unblocked
+// reference.
 func TestMatMulTBiasMatchesNaive(t *testing.T) {
 	l := lcg(1)
 	for _, dims := range [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {32, 1, 64}, {65, 3, 64}, {64, 17, 65},
 		{130, 9, 130}, {7, 200, 3}, {1, 64, 129},
 		{32, 1, 16}, {5, 1, 3}, {130, 1, 65}, {1, 1, 512},
+		{4, 32, 1}, {21, 32, 1}, {20, 32, 2}, {7, 32, 3}, {130, 32, 2}, {3, 32, 1},
 	} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := fill(m*k, &l)
@@ -170,6 +173,9 @@ func FuzzGEMM(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(1), int64(7), false)
 	f.Add(uint8(32), uint8(1), uint8(64), int64(5), false)
 	f.Add(uint8(7), uint8(1), uint8(7), int64(6), true)
+	f.Add(uint8(20), uint8(32), uint8(0), int64(3), false)
+	f.Add(uint8(21), uint8(32), uint8(1), int64(4), false)
+	f.Add(uint8(6), uint8(32), uint8(2), int64(8), false)
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, seed int64, alias bool) {
 		m := int(mRaw)%96 + 1
 		k := int(kRaw) % 96 // k = 0 is legal: out = bias (or zero)

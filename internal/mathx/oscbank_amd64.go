@@ -1,7 +1,7 @@
 package mathx
 
-// haveAVX2 selects the vector kernels (OscBank's and the LSTM step's),
-// once, from what the CPU and the operating system support.
+// haveAVX2 selects the vector kernels (OscBank's, Log10s' and the LSTM
+// step's), once, from what the CPU and the operating system support.
 var haveAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports AVX2 support (CPUID leaf 7, EBX bit 5) and FMA

@@ -13,14 +13,37 @@ import (
 // Source is a seeded pseudo-random stream. It wraps math/rand with the
 // derived-stream and distribution helpers the channel and NN code need.
 // A Source is not safe for concurrent use; derive one per goroutine.
+//
+// A Source made by Derive keeps its seed and builds its math/rand state
+// at its first draw, so a derived stream nobody draws from is never
+// seeded; its draws are the same whenever the first one comes. New
+// (and so Stream) seeds at once, so a stream made ahead of use pays its
+// seeding where it is made, not at a first draw that may sit on a
+// latency path (a LoRa device's first backoff is drawn under the
+// medium's lock).
 type Source struct {
-	r *rand.Rand
+	seed int64
+	r    *rand.Rand // nil until the first draw of a derived Source
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	s := &Source{seed: seed}
+	s.seedStream()
+	return s
 }
+
+// rand returns the source's math/rand stream, seeding it at the first
+// draw of a derived Source. The seeding is a call of its own, so this
+// check inlines into every draw.
+func (s *Source) rand() *rand.Rand {
+	if s.r == nil {
+		s.seedStream()
+	}
+	return s.r
+}
+
+func (s *Source) seedStream() { s.r = rand.New(rand.NewSource(s.seed)) }
 
 // SubSeed deterministically mixes (seed, label, index) into a derived
 // seed. Unlike Source.Derive, it is a pure function of its arguments: it
@@ -76,38 +99,40 @@ func Stream(seed int64, label string, index int) *Source {
 // function of this source's seed stream and the given label. Use it to
 // give subsystems (Alice's radio, Bob's radio, the channel process, ...)
 // decoupled streams so adding draws in one does not perturb another.
+// The parent's draw is taken now; the new Source is seeded at its own
+// first draw.
 func (s *Source) Derive(label string) *Source {
 	h := int64(1469598103934665603) // FNV offset basis
 	for _, c := range label {
 		h ^= int64(c)
 		h *= 1099511628211
 	}
-	return New(h ^ s.r.Int63())
+	return &Source{seed: h ^ s.rand().Int63()}
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+func (s *Source) Float64() float64 { return s.rand().Float64() }
 
 // Intn returns a uniform int in [0, n).
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+func (s *Source) Intn(n int) int { return s.rand().Intn(n) }
 
 // Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 { return s.r.Int63() }
+func (s *Source) Int63() int64 { return s.rand().Int63() }
 
 // Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Source) Perm(n int) []int { return s.rand().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements via swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
+func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rand().Shuffle(n, swap) }
 
 // Normal returns a sample from N(mean, std²).
 func (s *Source) Normal(mean, std float64) float64 {
-	return mean + std*s.r.NormFloat64()
+	return mean + std*s.rand().NormFloat64()
 }
 
 // Uniform returns a sample from U[lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.rand().Float64()
 }
 
 // Rayleigh returns a sample from the Rayleigh distribution with scale
@@ -115,7 +140,7 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 // std sigma. This is the paper's fast-fading amplitude model (Eq. 1).
 func (s *Source) Rayleigh(sigma float64) float64 {
 	// Inverse-CDF sampling: F(x) = 1 - exp(-x²/2σ²).
-	u := s.r.Float64()
+	u := s.rand().Float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
@@ -142,7 +167,7 @@ func (s *Source) Rician(k, omega float64) float64 {
 
 // Exponential returns a sample from Exp(rate).
 func (s *Source) Exponential(rate float64) float64 {
-	u := s.r.Float64()
+	u := s.rand().Float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
@@ -150,13 +175,14 @@ func (s *Source) Exponential(rate float64) float64 {
 }
 
 // Bernoulli returns true with probability p.
-func (s *Source) Bernoulli(p float64) bool { return s.r.Float64() < p }
+func (s *Source) Bernoulli(p float64) bool { return s.rand().Float64() < p }
 
 // Bits returns n independent uniform bits as 0/1 bytes.
 func (s *Source) Bits(n int) []byte {
 	out := make([]byte, n)
+	r := s.rand()
 	for i := range out {
-		if s.r.Int63()&1 == 1 {
+		if r.Int63()&1 == 1 {
 			out[i] = 1
 		}
 	}

@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -39,6 +40,46 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 	if same > 5 {
 		t.Error("different labels should give different streams")
+	}
+}
+
+// TestFirstDrawLate checks the seed-on-first-draw rule: a Source draws
+// exactly math/rand's stream for its seed, and a derived Source first
+// drawn after its parent and siblings have moved on gives the same
+// draws as one drawn at once, while the parent's own stream is the
+// same either way.
+func TestFirstDrawLate(t *testing.T) {
+	draws := func(s *Source) []float64 {
+		out := []float64{s.Float64(), s.Normal(0, 1), float64(s.Intn(1000)), float64(s.Int63())}
+		for _, p := range s.Perm(5) {
+			out = append(out, float64(p))
+		}
+		return out
+	}
+	ref := rand.New(rand.NewSource(42))
+	want := []float64{ref.Float64(), ref.NormFloat64(), float64(ref.Intn(1000)), float64(ref.Int63())}
+	for _, p := range ref.Perm(5) {
+		want = append(want, float64(p))
+	}
+	if got := draws(New(42)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("New(42) draws %v, math/rand draws %v", got, want)
+	}
+
+	early, late := New(7), New(7)
+	eager := draws(early.Derive("alice"))
+	child := late.Derive("alice")
+	late.Derive("bob").Float64()
+	draws(late)
+	if got := draws(child); fmt.Sprint(got) != fmt.Sprint(eager) {
+		t.Fatalf("late first draw %v, drawn at once %v", got, eager)
+	}
+	// The parent's stream does not depend on when its children draw.
+	a, b := New(11), New(11)
+	ca := a.Derive("x")
+	ca.Float64()
+	b.Derive("x")
+	if fmt.Sprint(draws(a)) != fmt.Sprint(draws(b)) {
+		t.Fatal("a child's draws moved its parent's stream")
 	}
 }
 

@@ -64,12 +64,6 @@ func NewCollector(sc Scenario, seed int64) *Collector {
 // Airtime returns the per-packet time on air for the scenario's radio.
 func (c *Collector) Airtime() float64 { return c.airtime }
 
-// Alice returns Alice's transceiver (for sample-interval tweaks in tests).
-func (c *Collector) Alice() *lora.Transceiver { return c.alice }
-
-// Bob returns Bob's transceiver.
-func (c *Collector) Bob() *lora.Transceiver { return c.bob }
-
 // Run advances the timeline by n probe/response rounds and returns them.
 func (c *Collector) Run(n int) []Exchange {
 	out := make([]Exchange, 0, n)
