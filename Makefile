@@ -59,8 +59,9 @@ bench-compare:
 # multiply), the channel's cosine kernel (bit for bit vs math.Cos), its
 # vector oscillator bank (bit for bit vs the per-term Cos sum), its
 # decimal-log lanes and exact remainder (bit for bit vs math.Log10 and
-# math.Mod), and the LSTM step's activation and recurrence kernels (bit
-# for bit vs Sigmoid/math.Tanh and AddMatVec).
+# math.Mod), the LSTM step's activation and recurrence kernels (bit
+# for bit vs Sigmoid/math.Tanh and AddMatVec), and the random stream's
+# methods (bit for bit vs math/rand's Go 1 stream for the same seed).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHello -fuzztime 30s ./internal/server/
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMod$$' -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzActivations$$' -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzAddMatVecColMajor$$' -fuzztime 30s ./internal/mathx/
+	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 30s ./internal/rng/
 
 # A small vkload run over real localhost TCP: 64 vehicles through the
 # session manager with the training-free lora-key scheme. CI runs this

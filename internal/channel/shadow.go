@@ -15,17 +15,24 @@ import (
 // route only grows forward (negative offsets below the first grid point
 // clamp to it — used for an imitating Eve trailing slightly behind).
 type ShadowProcess struct {
-	sigma  float64
-	step   float64 // grid spacing in metres
-	rho    float64 // AR(1) coefficient between adjacent grid points
-	innov  float64 // σ·√(1−ρ²), the AR(1) innovation's std deviation
-	src    *rng.Source
-	values []float64
+	sigma float64
+	step  float64 // grid spacing in metres
+	rho   float64 // AR(1) coefficient between adjacent grid points
+	innov float64 // σ·√(1−ρ²), the AR(1) innovation's std deviation
+	src   *rng.Source
+	// chunks holds the grid points made so far, n of them, in
+	// shadowChunk-sized blocks: growing the grid allocates one block at
+	// a time and never copies what is already there.
+	chunks [][]float64
+	n      int
 }
 
 // shadowGridStep is the spatial resolution of the field. 0.5 m is far
 // below every decorrelation distance used by the presets.
 const shadowGridStep = 0.5
+
+// shadowChunk is how many grid points (256 m of route) one block holds.
+const shadowChunk = 512
 
 // NewShadowProcess creates a shadowing field with standard deviation sigma
 // (dB) and decorrelation distance decorr (m).
@@ -53,20 +60,33 @@ func (s *ShadowProcess) At(pos float64) float64 {
 	frac := idx - float64(lo)
 	s.extend(lo + 1)
 	if frac == 0 {
-		return s.values[lo]
+		return s.value(lo)
 	}
-	return s.values[lo]*(1-frac) + s.values[lo+1]*frac
+	return s.value(lo)*(1-frac) + s.value(lo+1)*frac
 }
 
+// value returns grid point k, which extend has made.
+func (s *ShadowProcess) value(k int) float64 {
+	return s.chunks[uint(k)/shadowChunk][uint(k)%shadowChunk]
+}
+
+// extend makes the grid points up to index upto: the first from
+// N(0, σ²), each later one from its predecessor by the AR(1) step.
 func (s *ShadowProcess) extend(upto int) {
-	for len(s.values) <= upto {
-		if len(s.values) == 0 {
-			s.values = append(s.values, s.src.Normal(0, s.sigma))
-			continue
+	for ; s.n <= upto; s.n++ {
+		c, i := s.n/shadowChunk, s.n%shadowChunk
+		if i == 0 {
+			s.chunks = append(s.chunks, make([]float64, shadowChunk))
 		}
-		prev := s.values[len(s.values)-1]
-		innov := s.src.Normal(0, s.innov)
-		s.values = append(s.values, s.rho*prev+innov)
+		var v float64
+		if s.n == 0 {
+			v = s.src.Normal(0, s.sigma)
+		} else {
+			prev := s.value(s.n - 1)
+			innov := s.src.Normal(0, s.innov)
+			v = s.rho*prev + innov
+		}
+		s.chunks[c][i] = v
 	}
 }
 

@@ -40,10 +40,10 @@ type Transceiver struct {
 	gainBiasDB float64
 	biased     bool
 
-	// owed counts read-noise draws that ReceiveRange skipped. They are
-	// taken, in order, before the unit's next draw (a read or OpDelay),
-	// so every draw sees the stream it would have if each read had drawn
-	// in turn.
+	// owed counts read-noise draws that ReceiveRange skipped. The stream
+	// is advanced past them (rng.Source.SkipNormals) before the unit's
+	// next draw (a read or OpDelay), so every draw sees the stream it
+	// would have if each read had drawn in turn.
 	owed int
 
 	// buf holds one ranged receive's smoothing-tap times and the
@@ -77,13 +77,12 @@ func (t *Transceiver) OpDelay() float64 {
 	return t.prof.opDelayMeanS + t.src.Uniform(-t.prof.opDelayJitterS, t.prof.opDelayJitterS)
 }
 
-// settle takes the gain bias, if not yet drawn, and then the owed
+// settle takes the gain bias, if not yet drawn, and then skips the owed
 // read-noise draws: every draw of the unit comes after it.
 func (t *Transceiver) settle() {
 	t.GainBiasDB()
-	for ; t.owed > 0; t.owed-- {
-		t.src.Normal(0, t.prof.noiseStdDB)
-	}
+	t.src.SkipNormals(t.owed)
+	t.owed = 0
 }
 
 // Reception is the result of receiving one LoRa packet: the stream of
@@ -140,10 +139,10 @@ func (t *Transceiver) Receive(rssiAt func(ts, out []float64), start, airtime flo
 // reports the chip-smoothed channel power (its taps summed in order and
 // averaged) plus this unit's bias, read noise and register
 // quantization. Every read outside the range still owes its read
-// noise: the owed draws are taken, in order, before the unit's next
-// draw of any kind (a read or an OpDelay), so the random stream every
-// later read and OpDelay sees is exactly the one a full Receive leaves.
-// A unit that never draws again never pays them.
+// noise: the stream is advanced past the owed draws before the unit's
+// next draw of any kind (a read or an OpDelay), so the random stream
+// every later read and OpDelay sees is exactly the one a full Receive
+// leaves. A unit that never draws again never pays them.
 func (t *Transceiver) ReceiveRange(dst []float64, rssiAt func(ts, out []float64), start, airtime float64, lo, hi int) []float64 {
 	n := t.Reads(airtime)
 	hi = min(max(hi, 0), n)

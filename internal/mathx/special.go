@@ -94,9 +94,5 @@ func igamcCF(a, x float64) float64 {
 	return h * math.Exp(ax)
 }
 
-// ErfcScaled is a thin alias for math.Erfc retained so NIST test code reads
-// like the SP 800-22 reference (which names the function erfc).
-func ErfcScaled(x float64) float64 { return math.Erfc(x) }
-
 // NormalCDF returns the standard normal cumulative distribution Φ(x).
 func NormalCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }

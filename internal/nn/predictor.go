@@ -14,13 +14,9 @@ type PredictorConfig struct {
 	Theta  float64 // joint-loss weight θ (paper: 0.9)
 }
 
-// DefaultPredictorConfig returns the paper's architecture: a 32-cell
+// normalize fills unset fields with the paper's architecture: a 32-cell
 // BiLSTM with 128 hidden units, a 32-unit prediction layer, a 64-unit
 // sigmoid quantization layer and θ = 0.9.
-func DefaultPredictorConfig() PredictorConfig {
-	return PredictorConfig{SeqLen: 32, Hidden: 128, Bits: 64, Theta: 0.9}
-}
-
 func (c *PredictorConfig) normalize() {
 	if c.SeqLen <= 0 {
 		c.SeqLen = 32

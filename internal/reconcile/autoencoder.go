@@ -32,16 +32,12 @@ type AEConfig struct {
 	EncoderSeed int64
 }
 
-// DefaultAEConfig returns the selected configuration: 128-bit keys,
-// 32-dimensional code, 16-unit shared decoder, trained up to 15 %
+// normalize fills unset fields with the selected configuration: 128-bit
+// keys, 32-dimensional code, 16-unit shared decoder, trained up to 15 %
 // mismatch. Note on sizing: the paper selects AE-64 for its *dense*
 // decoder; our decoder shares weights across bit positions (see AE), so
 // far fewer units per position reach the same accuracy, and 16 units is
 // the agreement/cost balance point that AE-64 plays in the paper.
-func DefaultAEConfig() AEConfig {
-	return AEConfig{KeyBits: 128, CodeDim: 32, DecoderUnits: 16, MaxMismatch: 0.15, EncoderSeed: 424242}
-}
-
 func (c *AEConfig) normalize() {
 	if c.KeyBits <= 0 {
 		c.KeyBits = 128

@@ -5,17 +5,13 @@
 // seed, and independent subsystems can be given independent streams.
 package rng
 
-import (
-	"math"
-	"math/rand"
-)
-
-// Source is a seeded pseudo-random stream. It wraps math/rand with the
-// derived-stream and distribution helpers the channel and NN code need.
-// A Source is not safe for concurrent use; derive one per goroutine.
+// Source is a seeded pseudo-random stream: math/rand's Go 1 stream for
+// its seed (see gen), with the derived-stream and distribution helpers
+// the channel and NN code need. A Source is not safe for concurrent
+// use; derive one per goroutine.
 //
-// A Source made by Derive keeps its seed and builds its math/rand state
-// at its first draw, so a derived stream nobody draws from is never
+// A Source made by Derive keeps its seed and builds its generator at
+// its first draw, so a derived stream nobody draws from is never
 // seeded; its draws are the same whenever the first one comes. New
 // (and so Stream) seeds at once, so a stream made ahead of use pays its
 // seeding where it is made, not at a first draw that may sit on a
@@ -23,7 +19,7 @@ import (
 // medium's lock).
 type Source struct {
 	seed int64
-	r    *rand.Rand // nil until the first draw of a derived Source
+	g    *gen // nil until the first draw of a derived Source
 }
 
 // New returns a Source seeded with seed.
@@ -33,17 +29,20 @@ func New(seed int64) *Source {
 	return s
 }
 
-// rand returns the source's math/rand stream, seeding it at the first
-// draw of a derived Source. The seeding is a call of its own, so this
-// check inlines into every draw.
-func (s *Source) rand() *rand.Rand {
-	if s.r == nil {
+// gen returns the source's generator, seeding it at the first draw of
+// a derived Source. The seeding is a call of its own, so this check
+// inlines into every draw.
+func (s *Source) gen() *gen {
+	if s.g == nil {
 		s.seedStream()
 	}
-	return s.r
+	return s.g
 }
 
-func (s *Source) seedStream() { s.r = rand.New(rand.NewSource(s.seed)) }
+func (s *Source) seedStream() {
+	s.g = new(gen)
+	s.g.seed(s.seed)
+}
 
 // SubSeed deterministically mixes (seed, label, index) into a derived
 // seed. Unlike Source.Derive, it is a pure function of its arguments: it
@@ -107,84 +106,54 @@ func (s *Source) Derive(label string) *Source {
 		h ^= int64(c)
 		h *= 1099511628211
 	}
-	return &Source{seed: h ^ s.rand().Int63()}
+	return &Source{seed: h ^ s.gen().int63()}
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.rand().Float64() }
+func (s *Source) Float64() float64 { return s.gen().float64() }
 
-// Intn returns a uniform int in [0, n).
-func (s *Source) Intn(n int) int { return s.rand().Intn(n) }
+// Intn returns a uniform int in [0, n). It panics if n <= 0.
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("rng: invalid argument to Intn")
+	}
+	return s.gen().intn(n)
+}
 
 // Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 { return s.rand().Int63() }
+func (s *Source) Int63() int64 { return s.gen().int63() }
 
 // Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rand().Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements via swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rand().Shuffle(n, swap) }
+func (s *Source) Perm(n int) []int { return s.gen().perm(n) }
 
 // Normal returns a sample from N(mean, std²).
 func (s *Source) Normal(mean, std float64) float64 {
-	return mean + std*s.rand().NormFloat64()
+	return mean + std*s.gen().normal()
+}
+
+// SkipNormals advances the stream past n Normal draws without forming
+// them: afterwards it is where n Normal calls would have left it, at
+// about half their cost. A stream with nothing to skip is not seeded.
+func (s *Source) SkipNormals(n int) {
+	if n > 0 {
+		s.gen().skipNormals(n)
+	}
 }
 
 // Uniform returns a sample from U[lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rand().Float64()
-}
-
-// Rayleigh returns a sample from the Rayleigh distribution with scale
-// sigma — the envelope of a zero-mean complex Gaussian with per-component
-// std sigma. This is the paper's fast-fading amplitude model (Eq. 1).
-func (s *Source) Rayleigh(sigma float64) float64 {
-	// Inverse-CDF sampling: F(x) = 1 - exp(-x²/2σ²).
-	u := s.rand().Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return sigma * math.Sqrt(-2*math.Log(1-u))
-}
-
-// LogNormal returns a sample whose natural log is N(mu, sigma²). This is
-// the paper's slow-fading (shadowing) amplitude model (Eq. 2).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
-// Rician returns a sample from the Rician envelope distribution with
-// K-factor k (ratio of LOS power to scattered power) and total power
-// omega. Rural LOS links are Rician; urban NLOS degenerates to Rayleigh
-// at k = 0.
-func (s *Source) Rician(k, omega float64) float64 {
-	nu := math.Sqrt(k * omega / (k + 1))      // LOS amplitude
-	sigma := math.Sqrt(omega / (2 * (k + 1))) // scatter per-component std
-	x := s.Normal(nu, sigma)
-	y := s.Normal(0, sigma)
-	return math.Hypot(x, y)
-}
-
-// Exponential returns a sample from Exp(rate).
-func (s *Source) Exponential(rate float64) float64 {
-	u := s.rand().Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1-u) / rate
+	return lo + (hi-lo)*s.gen().float64()
 }
 
 // Bernoulli returns true with probability p.
-func (s *Source) Bernoulli(p float64) bool { return s.rand().Float64() < p }
+func (s *Source) Bernoulli(p float64) bool { return s.gen().float64() < p }
 
 // Bits returns n independent uniform bits as 0/1 bytes.
 func (s *Source) Bits(n int) []byte {
 	out := make([]byte, n)
-	r := s.rand()
+	g := s.gen()
 	for i := range out {
-		if r.Int63()&1 == 1 {
-			out[i] = 1
-		}
+		out[i] = byte(g.int63() & 1)
 	}
 	return out
 }

@@ -232,53 +232,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestRayleighMoments(t *testing.T) {
-	src := New(2)
-	sigma := 1.5
-	mean, _ := moments(50000, func() float64 { return src.Rayleigh(sigma) })
-	want := sigma * math.Sqrt(math.Pi/2)
-	if math.Abs(mean-want) > 0.03 {
-		t.Errorf("Rayleigh mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestRicianReducesToRayleigh(t *testing.T) {
-	src := New(3)
-	// K = 0: Rician(0, omega) has the Rayleigh mean sqrt(pi*omega/4)… up
-	// to the omega normalization: E[R] = sqrt(pi*omega)/2.
-	omega := 2.0
-	mean, _ := moments(50000, func() float64 { return src.Rician(0, omega) })
-	want := math.Sqrt(math.Pi*omega) / 2
-	if math.Abs(mean-want) > 0.03 {
-		t.Errorf("Rician(0) mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestRicianPower(t *testing.T) {
-	src := New(4)
-	// E[R^2] = omega for any K.
-	for _, k := range []float64{0, 1, 6} {
-		_, _ = k, src
-		var s float64
-		const n = 40000
-		for i := 0; i < n; i++ {
-			r := src.Rician(k, 3)
-			s += r * r
-		}
-		if got := s / n; math.Abs(got-3) > 0.1 {
-			t.Errorf("K=%v: E[R^2] = %v, want ~3", k, got)
-		}
-	}
-}
-
-func TestLogNormal(t *testing.T) {
-	src := New(5)
-	mean, _ := moments(50000, func() float64 { return math.Log(src.LogNormal(0.5, 0.25)) })
-	if math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("log of LogNormal mean = %v, want ~0.5", mean)
-	}
-}
-
 func TestBernoulliRate(t *testing.T) {
 	src := New(6)
 	hits := 0
