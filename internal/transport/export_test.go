@@ -18,3 +18,10 @@ func InProcessQueueLen(t *testing.T, c Conn) int {
 		return 0
 	}
 }
+
+// TCPReadBuf is a TCPConn's resting read-buffer capacity.
+const TCPReadBuf = tcpReadBuf
+
+// TCPReadCap reports the capacity of c's stream read buffer (white-box),
+// so a test can bound what wire input makes a connection hold.
+func TCPReadCap(c *TCPConn) int { return cap(c.rbuf) }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -25,19 +26,30 @@ import (
 type TCPConn struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes frame writes so they cannot interleave
+	wmu  sync.Mutex // serializes frame writes so they cannot interleave
+	wbuf []byte     // frame under construction; reused once Write returns
 
-	rmu     sync.Mutex // guards the read state below
-	rbuf    []byte     // unconsumed stream bytes; a partial frame survives a deadline
-	scratch []byte     // socket read buffer, reused across calls
+	rmu  sync.Mutex // guards the read state below
+	rbuf []byte     // unconsumed stream bytes; a partial frame survives a deadline
 
 	timeout time.Duration
 	once    sync.Once
 }
 
-// NewTCPConn wraps an established TCP (or TCP-like) stream.
+// tcpReadBuf is rbuf's resting capacity. Every frame of a
+// key-establishment session fits it (messages average about 70 bytes,
+// the largest about 330). A larger frame grows rbuf to exactly its own
+// total, and rbuf drops back to this size once that frame is consumed.
+const tcpReadBuf = 512
+
+// tcpWriteKeep bounds the frame buffer a connection keeps between sends:
+// one grown past it by a large message is dropped after that write.
+const tcpWriteKeep = 64 << 10
+
+// NewTCPConn wraps an established TCP (or TCP-like) stream. It allocates
+// no buffers; the first receive and the first send make their own.
 func NewTCPConn(conn net.Conn) *TCPConn {
-	return &TCPConn{conn: conn, scratch: make([]byte, 32*1024), timeout: 5 * time.Second}
+	return &TCPConn{conn: conn, timeout: 5 * time.Second}
 }
 
 // DialTCP connects to a listening peer, e.g. DialTCP("127.0.0.1:9300").
@@ -55,17 +67,23 @@ func (c *TCPConn) LocalAddr() net.Addr { return c.conn.LocalAddr() }
 // SetTimeout adjusts the default receive deadline used by Recv.
 func (c *TCPConn) SetTimeout(d time.Duration) { c.timeout = d }
 
-// Send implements Conn: one framed write per message. The header and
-// payload go out in a single Write under the write mutex, so concurrent
-// senders can never interleave partial frames.
+// Send implements Conn: one framed write per message. The frame is built
+// in the connection's own buffer and goes out in a single Write under the
+// write mutex, so concurrent senders can never interleave partial frames.
+// Write has finished with the buffer when it returns, so the next Send
+// reuses it.
 func (c *TCPConn) Send(msg []byte) error {
-	frame, err := AppendFrame(make([]byte, 0, frameHeaderLen+len(msg)), msg)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	frame, err := AppendFrame(c.wbuf[:0], msg)
 	if err != nil {
 		return err
 	}
-	c.wmu.Lock()
 	_, err = c.conn.Write(frame)
-	c.wmu.Unlock()
+	c.wbuf = frame
+	if cap(frame) > tcpWriteKeep {
+		c.wbuf = nil
+	}
 	if err != nil {
 		return mapNetErr(err)
 	}
@@ -75,9 +93,11 @@ func (c *TCPConn) Send(msg []byte) error {
 // Recv implements Conn using the connection's default timeout.
 func (c *TCPConn) Recv() ([]byte, error) { return c.RecvTimeout(c.timeout) }
 
-// RecvTimeout implements Conn. A deadline that expires mid-frame leaves
-// the partial frame buffered: the stream position is preserved and the
-// next call resumes exactly where this one stopped.
+// RecvTimeout implements Conn. The socket is read straight into rbuf's
+// spare capacity, and the returned payload is a fresh copy that belongs
+// to the caller. A deadline that expires mid-frame leaves the partial
+// frame buffered: the stream position is preserved and the next call
+// resumes exactly where this one stopped.
 func (c *TCPConn) RecvTimeout(d time.Duration) ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -95,20 +115,43 @@ func (c *TCPConn) RecvTimeout(d time.Duration) ([]byte, error) {
 			return nil, err
 		}
 		if payload != nil {
-			c.rbuf = append(c.rbuf[:0], c.rbuf[n:]...)
+			c.rbuf = c.rbuf[:copy(c.rbuf, c.rbuf[n:])]
+			if cap(c.rbuf) > tcpReadBuf {
+				// rbuf was grown to exactly the frame just consumed, so
+				// nothing follows it; do not pin that size for the
+				// connection's life.
+				c.rbuf = nil
+			}
 			return payload, nil
 		}
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
 			return nil, mapNetErr(err)
 		}
-		n, err = c.conn.Read(c.scratch)
-		if n > 0 {
-			c.rbuf = append(c.rbuf, c.scratch[:n]...)
-		}
+		n, err = c.conn.Read(c.readRoom())
+		c.rbuf = c.rbuf[:len(c.rbuf)+n]
 		if err != nil && n == 0 {
 			return nil, mapNetErr(err)
 		}
 	}
+}
+
+// readRoom returns rbuf's spare capacity for the next socket read, never
+// empty. rbuf holds at most a prefix of one frame here. Once that prefix
+// includes the header, DecodeFrame has already checked its length against
+// MaxFrameBytes (the check is repeated here so this function is bounded
+// on its own), and only then may rbuf grow, once, to exactly the frame's
+// total, so a grown buffer is never filled past that frame.
+func (c *TCPConn) readRoom() []byte {
+	want := tcpReadBuf
+	if len(c.rbuf) >= frameHeaderLen {
+		if size := binary.BigEndian.Uint32(c.rbuf[:4]); size <= MaxFrameBytes {
+			want = max(want, frameHeaderLen+int(size))
+		}
+	}
+	if cap(c.rbuf) < want {
+		c.rbuf = append(make([]byte, 0, want), c.rbuf...)
+	}
+	return c.rbuf[len(c.rbuf):cap(c.rbuf)]
 }
 
 // Close implements Conn and is idempotent: the first call closes the

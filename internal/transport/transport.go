@@ -135,7 +135,14 @@ type UDPConn struct {
 	conn    *net.UDPConn
 	peer    *net.UDPAddr
 	timeout time.Duration
+
+	rmu  sync.Mutex // serializes receives on rbuf
+	rbuf []byte     // datagram read buffer, made at the first receive
 }
+
+// maxDatagram is the read buffer a UDP socket needs so that no datagram
+// is truncated.
+const maxDatagram = 64 * 1024
 
 // DialUDP binds local and targets peer, e.g. DialUDP(":0", "127.0.0.1:9000").
 func DialUDP(local, peer string) (*UDPConn, error) {
@@ -188,15 +195,21 @@ func (c *UDPConn) Recv() ([]byte, error) { return c.RecvTimeout(c.timeout) }
 
 // RecvTimeout implements Conn, mapping deadline and closure errors onto
 // the transport sentinels so callers can branch without net internals.
+// Every datagram lands in the connection's one read buffer; the caller
+// gets an exact-size copy, so a small message pins only its own bytes.
 func (c *UDPConn) RecvTimeout(d time.Duration) ([]byte, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
 	if err := c.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
 		if errors.Is(err, net.ErrClosed) {
 			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 		}
 		return nil, err
 	}
-	buf := make([]byte, 64*1024)
-	n, addr, err := c.conn.ReadFromUDP(buf)
+	if c.rbuf == nil {
+		c.rbuf = make([]byte, maxDatagram)
+	}
+	n, addr, err := c.conn.ReadFromUDP(c.rbuf)
 	if err != nil {
 		switch {
 		case errors.Is(err, os.ErrDeadlineExceeded):
@@ -209,7 +222,9 @@ func (c *UDPConn) RecvTimeout(d time.Duration) ([]byte, error) {
 	if c.peer == nil {
 		c.peer = addr
 	}
-	return buf[:n], nil
+	msg := make([]byte, n)
+	copy(msg, c.rbuf[:n])
+	return msg, nil
 }
 
 // Close implements Conn and is idempotent: closing an already-closed

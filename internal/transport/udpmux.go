@@ -69,7 +69,7 @@ func ListenUDPMux(addr string) (*UDPMux, error) {
 const udpPumpTick = 1 * time.Second
 
 func (m *UDPMux) readLoop() {
-	buf := make([]byte, 64*1024)
+	buf := make([]byte, maxDatagram)
 	for {
 		// Deadline-governed read (netdeadline): a silent fleet must not
 		// wedge the demultiplexer goroutine forever.
