@@ -55,7 +55,8 @@ bench-compare:
 # Seed-corpus fuzz smoke: the wire formats (protocol envelope, server
 # hello and group frame codecs, TCP frame decoder), the reconcilers'
 # correction halves fed arbitrary peer code vectors (CS syndrome, AE
-# code), the fast-inference numerics (GEMM kernels vs the naive
+# code), the multi-bit quantizer (bit for bit vs its append-per-sample
+# oracle), the fast-inference numerics (GEMM kernels vs the naive
 # multiply), the channel's cosine kernel (bit for bit vs math.Cos), its
 # vector oscillator bank (bit for bit vs the per-term Cos sum), its
 # decimal-log lanes and exact remainder (bit for bit vs math.Log10 and
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTCPFrameDecode -fuzztime 30s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzCS$$' -fuzztime 30s ./internal/reconcile/
 	$(GO) test -run '^$$' -fuzz '^FuzzAEAliceCorrect$$' -fuzztime 30s ./internal/reconcile/
+	$(GO) test -run '^$$' -fuzz '^FuzzMultiBit$$' -fuzztime 30s ./internal/quantize/
 	$(GO) test -run '^$$' -fuzz FuzzGEMM -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzCos$$' -fuzztime 30s ./internal/mathx/
 	$(GO) test -run '^$$' -fuzz '^FuzzOscBank$$' -fuzztime 30s ./internal/mathx/

@@ -125,43 +125,6 @@ func matMulTBiasNarrow(a []float64, m, k int, b []float64, n int, bias, out []fl
 	}
 }
 
-// MatMulT is MatMulTBias with a zero seed: out[i*n+j] = Σ_c a[i*k+c]*b[j*k+c].
-func MatMulT(a []float64, m, k int, b []float64, n int, out []float64) {
-	checkGEMM(a, m, k, b, n, out)
-	for i0 := 0; i0 < m; i0 += gemmBlock {
-		iMax := min(i0+gemmBlock, m)
-		for j0 := 0; j0 < n; j0 += gemmBlock {
-			jMax := min(j0+gemmBlock, n)
-			for i := i0; i < iMax; i++ {
-				ar := a[i*k : i*k+k]
-				or := out[i*n : i*n+n]
-				for j := j0; j < jMax; j++ {
-					br := b[j*k : j*k+k]
-					sum := 0.0
-					for c, av := range ar {
-						sum += br[c] * av
-					}
-					or[j] = sum
-				}
-			}
-		}
-	}
-}
-
-// MatVec computes out[r] = Σ_{c ascending} w[r*cols+c] * x[c] for the
-// rows×cols row-major matrix w. out must not alias w or x.
-func MatVec(w []float64, rows, cols int, x, out []float64) {
-	checkMatVec(w, rows, cols, x, cols, out, rows)
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : r*cols+cols]
-		sum := 0.0
-		for c, wv := range row {
-			sum += wv * x[c]
-		}
-		out[r] = sum
-	}
-}
-
 // MatVecT computes the transposed product out[c] = Σ_{r ascending}
 // w[r*cols+c] * x[r], streaming w row-major (one pass, cache-friendly)
 // instead of striding down columns. Per output element the terms are

@@ -13,14 +13,3 @@ func GrayDecode(g uint64) uint64 {
 	}
 	return n
 }
-
-// GrayBits returns the width least-significant bits of the Gray code of n,
-// most-significant bit first, as 0/1 bytes.
-func GrayBits(n uint64, width int) []byte {
-	g := GrayEncode(n)
-	out := make([]byte, width)
-	for i := 0; i < width; i++ {
-		out[i] = byte(g >> uint(width-1-i) & 1)
-	}
-	return out
-}

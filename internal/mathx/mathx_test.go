@@ -258,11 +258,3 @@ func TestGrayAdjacency(t *testing.T) {
 		}
 	}
 }
-
-func TestGrayBits(t *testing.T) {
-	// level 3 (0b11) → Gray 0b10.
-	bits := GrayBits(3, 2)
-	if bits[0] != 1 || bits[1] != 0 {
-		t.Errorf("GrayBits(3,2) = %v, want [1 0]", bits)
-	}
-}

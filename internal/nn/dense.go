@@ -8,8 +8,9 @@ import (
 // Dense is a fully connected layer y = act(W·x + b), applied to a batch
 // of rows at once: one bias-seeded GEMM per call, byte-identical per row
 // to the scalar loop `sum := b[o]; for i { sum += W[o][i]·x[i] }`. It
-// keeps no per-call state; its callers (MLP and the predictor heads)
-// hold the activations Backward needs.
+// keeps no per-call state; its callers hold the activations Backward
+// needs. The predictor heads run it row-major through forward and
+// backward; MLP runs its layers feature-major on its own.
 type Dense struct {
 	In, Out int
 	Act     Activation
@@ -39,15 +40,7 @@ func (d *Dense) Params() Params { return Params{d.w, d.b} }
 func (d *Dense) forward(x []float64, rows int, y []float64) {
 	y = y[:rows*d.Out]
 	mathx.MatMulTBias(x, rows, d.In, d.w.W, d.Out, d.b.W, y)
-	switch d.Act {
-	case Identity:
-	case Sigmoid:
-		mathx.Sigmoids(y, y)
-	default:
-		for i, v := range y {
-			y[i] = d.Act.Apply(v)
-		}
-	}
+	d.Act.applyAll(y)
 }
 
 // backward takes the rows inputs x and outputs y of a forward call and
@@ -57,9 +50,7 @@ func (d *Dense) forward(x []float64, rows int, y []float64) {
 // When dx is non-nil it receives dL/dx (flat rows×In).
 func (d *Dense) backward(x, y, dy []float64, rows int, dx []float64) {
 	in, out := d.In, d.Out
-	for k, v := range y[:rows*out] {
-		dy[k] *= d.Act.DerivFromOutput(v)
-	}
+	d.Act.scaleByDeriv(dy, y[:rows*out])
 	for o := 0; o < out; o++ {
 		for n := 0; n < rows; n++ {
 			d.b.G[o] += dy[n*out+o]

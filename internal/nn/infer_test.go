@@ -76,12 +76,50 @@ func TestMLPForwardInferByteIdentical(t *testing.T) {
 	for i := range xs {
 		xs[i] = src.Normal(0, 2)
 	}
-	out := m.Forward(xs, rows)
+	out := m.Forward(featureMajor(xs, rows, 2), rows)
 	rm := newRefMLP(m)
 	for r := 0; r < rows; r++ {
 		ref := rm.forward(xs[r*2 : r*2+2])
 		sameBits(t, "MLP out", out[r:r+1], ref)
 	}
+}
+
+// TestMLPFeatureMajorShapes runs the feature-major layout at shapes
+// the AE decoder does not use (three inputs, a tanh layer, a
+// three-wide identity output, a row count that is not a multiple of
+// four) and compares every output and gradient with the per-sample
+// layer loops.
+func TestMLPFeatureMajorShapes(t *testing.T) {
+	src := rng.New(10)
+	spec := []MLPSpec{{5, Tanh}, {7, ReLU}, {3, Identity}}
+	prod := NewMLP("s", 3, spec, src)
+	ref := NewMLP("s", 3, spec, rng.New(1))
+	cloneInto(t, ref.Params(), prod.Params())
+	const rows = 13
+	xs := randFlat(src, rows*3, 2)
+	dy := randFlat(src, rows*3, 1)
+	out := prod.Forward(featureMajor(xs, rows, 3), rows)
+	rm := newRefMLP(ref)
+	for r := 0; r < rows; r++ {
+		want := rm.forward(xs[r*3 : r*3+3])
+		got := []float64{out[r], out[rows+r], out[2*rows+r]}
+		sameBits(t, "MLP out", got, want)
+		rm.backward([]float64{dy[r*3], dy[r*3+1], dy[r*3+2]})
+	}
+	prod.Backward(featureMajor(dy, rows, 3))
+	sameTensors(t, "MLP", prod.Params(), ref.Params())
+}
+
+// featureMajor returns the rows×width row-major xs laid out as MLP takes
+// it: width×rows, element (r, i) at i*rows+r.
+func featureMajor(xs []float64, rows, width int) []float64 {
+	out := make([]float64, len(xs))
+	for r := 0; r < rows; r++ {
+		for i := 0; i < width; i++ {
+			out[i*rows+r] = xs[r*width+i]
+		}
+	}
+	return out
 }
 
 // TestForwardByteIdentical is the linchpin of the batched path:

@@ -538,7 +538,7 @@ func TestMLPBackwardBitIdentical(t *testing.T) {
 	dy := randFlat(src, n, 1)
 	want := append([]float64(nil), dy...)
 
-	out := prod.Forward(xs, n)
+	out := prod.Forward(featureMajor(xs, n, 2), n)
 	rm := newRefMLP(ref)
 	for r := 0; r < n; r++ {
 		sameBits(t, "MLP out", out[r:r+1], rm.forward(xs[r*2:r*2+2]))

@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzMultiBit checks the quantizer's structural invariants on arbitrary
 // inputs: bit/kept length agreement, kept indices strictly increasing and
-// in range, all bit values 0/1.
+// in range, all bit values 0/1, and agreement with the append-per-sample
+// oracle (reference_test.go).
 func FuzzMultiBit(f *testing.F) {
 	f.Add([]byte{10, 20, 30, 250, 0, 128}, uint8(2), uint8(40))
 	f.Add([]byte{1}, uint8(1), uint8(0))
@@ -39,6 +40,9 @@ func FuzzMultiBit(f *testing.F) {
 			if b > 1 {
 				t.Fatalf("bit value %d", b)
 			}
+		}
+		if want := refMultiBit(xs, cfg); !sameResult(res, want) {
+			t.Fatalf("%+v: result differs from the append-per-sample oracle", cfg)
 		}
 	})
 }

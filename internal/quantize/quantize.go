@@ -66,7 +66,8 @@ type Result struct {
 	Kept []int
 }
 
-// MultiBit quantizes xs with cfg.
+// MultiBit quantizes xs with cfg. The result is sized once for every
+// sample kept, so its key bits are written in place and never copied.
 func MultiBit(xs []float64, cfg MultiBitConfig) (Result, error) {
 	if cfg.BitsPerSample < 1 || cfg.BitsPerSample > 8 {
 		return Result{}, errors.New("quantize: BitsPerSample must be 1..8")
@@ -82,7 +83,10 @@ func MultiBit(xs []float64, cfg MultiBitConfig) (Result, error) {
 		return Result{}, mathx.ErrEmptyInput
 	}
 	levels := 1 << cfg.BitsPerSample
-	var res Result
+	res := Result{
+		Bits: make([]byte, 0, len(xs)*cfg.BitsPerSample),
+		Kept: make([]int, 0, len(xs)),
+	}
 	for lo := 0; lo < len(xs); lo += block {
 		hi := lo + block
 		if hi > len(xs) {
@@ -140,8 +144,10 @@ func quantizeBlock(xs []float64, offset, levels int, cfg MultiBitConfig, res *Re
 		}
 		return
 	}
-	lo, hi := mathx.MinMax(xs)
-	if cfg.Thresholds != nil {
+	var lo, hi float64
+	if cfg.Thresholds == nil {
+		lo, hi = mathx.MinMax(xs)
+	} else {
 		// Fixed thresholds: pad the edge levels with the inner width so
 		// guard margins are defined everywhere. The edge levels'
 		// untouched outer tails keep more mass than the guard-trimmed
@@ -167,22 +173,15 @@ func quantizeBlock(xs []float64, offset, levels int, cfg MultiBitConfig, res *Re
 		if cfg.GuardRatio > 0 && inGuardBand(x, level, bounds, lo, hi, cfg.GuardRatio) {
 			continue
 		}
-		if cfg.NaturalCoding {
-			res.Bits = append(res.Bits, naturalBits(uint64(level), cfg.BitsPerSample)...)
-		} else {
-			res.Bits = append(res.Bits, mathx.GrayBits(uint64(level), cfg.BitsPerSample)...)
+		code := uint64(level)
+		if !cfg.NaturalCoding {
+			code = mathx.GrayEncode(code)
+		}
+		for k := cfg.BitsPerSample - 1; k >= 0; k-- { // MSB first
+			res.Bits = append(res.Bits, byte(code>>uint(k)&1))
 		}
 		res.Kept = append(res.Kept, offset+i)
 	}
-}
-
-// naturalBits returns the plain binary code of n, MSB first.
-func naturalBits(n uint64, width int) []byte {
-	out := make([]byte, width)
-	for i := 0; i < width; i++ {
-		out[i] = byte(n >> uint(width-1-i) & 1)
-	}
-	return out
 }
 
 // inGuardBand reports whether x lies within the guard margin of either

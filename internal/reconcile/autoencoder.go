@@ -77,7 +77,8 @@ func (c *AEConfig) normalize() {
 type AE struct {
 	Cfg AEConfig
 
-	w   []float64 // CodeDim×KeyBits fixed encoder projection
+	w   []float64 // CodeDim×KeyBits fixed encoder projection, row-major
+	wt  []float64 // the same projection column-major (KeyBits×CodeDim)
 	dec *nn.MLP   // shared per-position decoder: [|bp_j|, k̂] → P(flip)
 
 	// Scratch buffers, reused across calls. One System is routinely
@@ -85,11 +86,17 @@ type AE struct {
 	// process (the loopback tests and benches do exactly that), so
 	// the two wire halves can race on these buffers — mu serializes
 	// them. Training and Save/Load stay single-goroutine by contract.
-	mu     sync.Mutex
-	scPM   []float64 // ±1-mapped key for the encoder GEMV
-	scBP   []float64 // backprojection output
-	scFeat []float64 // batched decoder input rows
-	scDout []float64 // decoder output gradients (training)
+	// Every one of them holds key-derived values between calls.
+	mu       sync.Mutex
+	scPM     []float64 // ±1-mapped key for the encoder product
+	scY      []float64 // Alice's code vector (correct) or Bob's (trainStep)
+	scYA     []float64 // Alice's code vector (trainStep)
+	scH      []float64 // code difference h
+	scBP     []float64 // backprojection output
+	scFeat   []float64 // decoder input, feature-major (2×positions)
+	scScores []float64 // per-position flip scores (correct)
+	scCand   []int     // candidate positions (correct)
+	scDout   []float64 // decoder output gradients (training)
 }
 
 // growF returns *buf resized to n, reusing its backing array when
@@ -115,6 +122,12 @@ func NewAE(cfg AEConfig, src *rng.Source) *AE {
 			ae.w[i] = scale
 		} else {
 			ae.w[i] = -scale
+		}
+	}
+	ae.wt = make([]float64, len(ae.w))
+	for r := 0; r < cfg.CodeDim; r++ {
+		for c := 0; c < cfg.KeyBits; c++ {
+			ae.wt[c*cfg.CodeDim+r] = ae.w[r*cfg.KeyBits+c]
 		}
 	}
 	spec := []nn.MLPSpec{
@@ -159,13 +172,15 @@ func (ae *AE) Clone() *AE {
 	return out
 }
 
-// encode projects a ±1-mapped key through the fixed encoder: the bits
-// map to a ±1 vector once and run through a single GEMV. row[c]*(+1)
+// encode projects a ±1-mapped key through the fixed encoder into out
+// (CodeDim values) and returns it: the bits map to a ±1 vector once, and
+// the column-major projection adds its terms to a zeroed out, the code
+// rows in vector lanes and each row's terms in ascending c. row[c]*(+1)
 // and row[c]*(−1) are exact in IEEE float, and s−row[c] equals
 // s+(−row[c]) bit-for-bit, so the result is byte-identical to the
 // branchy scalar loop (equivalence_test.go keeps it as the oracle).
 // bits must hold at least KeyBits bits.
-func (ae *AE) encode(bits []byte) []float64 {
+func (ae *AE) encode(bits []byte, out []float64) []float64 {
 	n, m := ae.Cfg.KeyBits, ae.Cfg.CodeDim
 	pm := growF(&ae.scPM, n)
 	for c := 0; c < n; c++ {
@@ -175,20 +190,21 @@ func (ae *AE) encode(bits []byte) []float64 {
 			pm[c] = -1
 		}
 	}
-	out := make([]float64, m)
-	mathx.MatVec(ae.w, m, n, pm, out)
+	out = out[:m]
+	clear(out)
+	mathx.AddMatVecColMajor(ae.wt, m, n, pm, out)
 	return out
 }
 
 // backproject computes Wᵀh, the decoder's matched-filter first stage.
-// It streams W row-major (one cache-friendly pass) instead of striding
-// down columns; per output element the terms are still added in
-// ascending r, so the sums are byte-identical to the column-strided
-// loop. The returned slice is scratch, valid until the next
-// backproject call.
+// The row-major W is Wᵀ stored column-major, so the positions run in
+// vector lanes and each position's terms are added in ascending r onto
+// a zero seed, byte-identical to the column-strided loop. The returned
+// slice is scratch, valid until the next backproject call.
 func (ae *AE) backproject(h []float64) []float64 {
 	out := growF(&ae.scBP, ae.Cfg.KeyBits)
-	mathx.MatVecT(ae.w, ae.Cfg.CodeDim, ae.Cfg.KeyBits, h, out)
+	clear(out)
+	mathx.AddMatVecColMajor(ae.w, ae.Cfg.KeyBits, ae.Cfg.CodeDim, h, out)
 	return out
 }
 
@@ -204,7 +220,6 @@ func (ae *AE) features(h []float64) (absBP []float64, kHat float64) {
 	}
 	for i, v := range bp {
 		bp[i] = math.Abs(v)
-		_ = i
 	}
 	return bp, hNorm / 4
 }
@@ -219,7 +234,7 @@ func (ae *AE) EncodeRaw(bits []byte) []float64 {
 	}
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
-	return ae.encode(bits)
+	return ae.encode(bits, make([]float64, ae.Cfg.CodeDim))
 }
 
 // BobEncode is Bob's wire half: his block passes through the session's
@@ -268,8 +283,8 @@ func (ae *AE) correct(bloomKeyAlice []byte, yBob []float64) []byte {
 	n := ae.Cfg.KeyBits
 	out := make([]byte, n)
 	copy(out, bloomKeyAlice)
-	yAlice := ae.encode(out)
-	h := make([]float64, len(yBob))
+	yAlice := ae.encode(out, growF(&ae.scY, ae.Cfg.CodeDim))
+	h := growF(&ae.scH, len(yBob))
 	for i := range h {
 		h[i] = yBob[i] - yAlice[i]
 	}
@@ -281,14 +296,20 @@ func (ae *AE) correct(bloomKeyAlice []byte, yBob []float64) []byte {
 	// far past the envelope, so the syndrome corrects nothing for her
 	// (the paper's Fig. 15a observation).
 	maxK := ae.Cfg.MaxMismatch * float64(n) * 1.2
-	if _, kHat0 := ae.features(h); kHat0 > maxK {
+	absBP, kHat := ae.features(h)
+	if kHat > maxK {
 		return out
 	}
 
-	scores := make([]float64, n)
-	candidates := make([]int, 0, n)
+	scores := growF(&ae.scScores, n)
+	if cap(ae.scCand) < n {
+		ae.scCand = make([]int, 0, n)
+	}
+	candidates := ae.scCand[:0] // never longer than n, so never reallocated
 	for round := 0; round < decodeRounds; round++ {
-		absBP, kHat := ae.features(h)
+		if round > 0 {
+			absBP, kHat = ae.features(h)
+		}
 		kRemain := int(kHat + 0.5)
 		if kRemain <= 0 {
 			break
@@ -311,11 +332,15 @@ func (ae *AE) correct(bloomKeyAlice []byte, yBob []float64) []byte {
 			scores[i] = -1
 		}
 		// One batched decoder pass over all candidates (byte-identical
-		// per row to scoring each position on its own).
+		// per row to scoring each position on its own). The input is
+		// feature-major: |Wᵀh| at the candidates, then k̂ repeated.
 		rows := len(candidates)
-		feat := growF(&ae.scFeat, rows*2)
+		feat := growF(&ae.scFeat, 2*rows)
 		for i, j := range candidates {
-			feat[2*i], feat[2*i+1] = absBP[j], kHat
+			feat[i] = absBP[j]
+		}
+		for i := rows; i < 2*rows; i++ {
+			feat[i] = kHat
 		}
 		batched := ae.dec.Forward(feat, rows)
 		for i, j := range candidates {
@@ -354,33 +379,43 @@ func (ae *AE) correct(bloomKeyAlice []byte, yBob []float64) []byte {
 // from the code difference h (the encode of the ±1-mapped key changes by
 // ±2·w_col_j, so h moves the opposite way).
 func (ae *AE) cancelFlip(key []byte, j int, h []float64) {
-	n, m := ae.Cfg.KeyBits, ae.Cfg.CodeDim
+	m := ae.Cfg.CodeDim
 	var d float64 = 2
 	if key[j] == 1 {
 		d = -2 // bit 1→0: Alice's encoding loses +w_j twice
 	}
 	key[j] ^= 1
-	for r := 0; r < m; r++ {
-		h[r] -= d * ae.w[r*n+j]
+	for r, w := range ae.wt[j*m : j*m+m] {
+		h[r] -= d * w
 	}
 }
 
-// topIndices appends the indices of the k largest values of xs to dst.
+// topIndices appends to dst the indices of the k largest values of xs
+// above −1, largest first and, among equal values, lowest index first:
+// the order in which repeatedly picking the first largest unpicked value
+// takes them. One pass keeps them by insertion: a later index goes
+// after every kept one of equal value, so ties keep the lowest indices.
 func topIndices(xs []float64, k int, dst []int) []int {
-	// Simple selection: k is small (tens) and xs short; O(k·n) is fine.
-	used := make([]bool, len(xs))
-	for r := 0; r < k; r++ {
-		best, bv := -1, -1.0
-		for i, v := range xs {
-			if !used[i] && v > bv {
-				bv, best = v, i
+	if k <= 0 {
+		return dst
+	}
+	base := len(dst)
+	for i, v := range xs {
+		if !(v > -1) { // also refuses NaN, which never compares larger
+			continue
+		}
+		if len(dst)-base == k {
+			if !(v > xs[dst[len(dst)-1]]) {
+				continue
 			}
+			dst = dst[:len(dst)-1]
 		}
-		if best < 0 {
-			break
+		j := len(dst)
+		dst = append(dst, i)
+		for ; j > base && xs[dst[j-1]] < v; j-- {
+			dst[j] = dst[j-1]
 		}
-		used[best] = true
-		dst = append(dst, best)
+		dst[j] = i
 	}
 	return dst
 }
@@ -427,16 +462,17 @@ func TrainAE(cfg AEConfig, epochs, samplesPerEpoch int, src *rng.Source) *AE {
 // are bit-identical to one pass per position (equivalence_test.go).
 func (ae *AE) trainStep(ka, kb []byte) float64 {
 	n := ae.Cfg.KeyBits
-	yB := ae.encode(kb)
-	yA := ae.encode(ka)
-	h := make([]float64, len(yB))
+	yB := ae.encode(kb, growF(&ae.scY, ae.Cfg.CodeDim))
+	yA := ae.encode(ka, growF(&ae.scYA, ae.Cfg.CodeDim))
+	h := growF(&ae.scH, len(yB))
 	for i := range h {
 		h[i] = yB[i] - yA[i]
 	}
 	absBP, kHat := ae.features(h)
-	feat := growF(&ae.scFeat, n*2)
-	for j := 0; j < n; j++ {
-		feat[2*j], feat[2*j+1] = absBP[j], kHat
+	feat := growF(&ae.scFeat, 2*n)
+	copy(feat, absBP)
+	for j := n; j < 2*n; j++ {
+		feat[j] = kHat
 	}
 	ps := ae.dec.Forward(feat, n)
 	// Positive-weighted binary cross entropy: mismatch positions are a

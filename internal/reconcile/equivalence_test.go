@@ -9,11 +9,33 @@ import (
 	"repro/internal/rng"
 )
 
-// The oracles below are the scalar reconciler internals the GEMM-backed
+// The oracles below are the scalar reconciler internals the vector
 // production code replaced: per-element encoder loops, the
-// column-strided backprojection, and per-position decoder forward and
-// backward passes. They are kept here only to pin the production path
-// to them bit for bit.
+// column-strided backprojection, per-position decoder forward and
+// backward passes, and candidate selection with a used-index record.
+// They are kept here only to pin the production path to them bit for
+// bit.
+
+// refTopIndices is the candidate selection the allocation-free
+// topIndices replaced, verbatim.
+func refTopIndices(xs []float64, k int, dst []int) []int {
+	// Simple selection: k is small (tens) and xs short; O(k·n) is fine.
+	used := make([]bool, len(xs))
+	for r := 0; r < k; r++ {
+		best, bv := -1, -1.0
+		for i, v := range xs {
+			if !used[i] && v > bv {
+				bv, best = v, i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		used[best] = true
+		dst = append(dst, best)
+	}
+	return dst
+}
 
 // scalarEncode is the branchy per-element encoder loop.
 func scalarEncode(ae *AE, bits []byte) []float64 {
@@ -88,7 +110,7 @@ func scalarCorrect(ae *AE, bloomKeyAlice []byte, yBob []float64) []byte {
 				candidates = append(candidates, j)
 			}
 		} else {
-			candidates = topIndices(absBP, min(4*kRemain+8, n), nil)
+			candidates = refTopIndices(absBP, min(4*kRemain+8, n), nil)
 		}
 		for i := range scores {
 			scores[i] = -1
@@ -317,35 +339,92 @@ func sameFloats(a, b []float64) bool {
 // TestAEFastPathByteIdentical reconciles many random key pairs (varying
 // mismatch counts and salts) and demands that the production encoder,
 // backprojection and full correction agree bit for bit with the scalar
-// oracles above.
+// oracles above. The flip counts run from 0 to a quarter of the block,
+// past the MaxMismatch envelope, so the refusal path runs too.
 func TestAEFastPathByteIdentical(t *testing.T) {
-	ae := TrainAE(AEConfig{KeyBits: 64, CodeDim: 32, DecoderUnits: 16, MaxMismatch: 0.15}, 3, 60, rng.New(42))
-	src := rng.New(7)
-	for trial := 0; trial < 40; trial++ {
-		kb := src.Bits(64)
-		ka := make([]byte, 64)
-		copy(ka, kb)
-		for f := 0; f < trial%9; f++ {
-			ka[src.Intn(64)] ^= 1
-		}
-		bf := NewBloomFilter(64, []byte(fmt.Sprintf("salt-%d", trial%5)))
-		bkA, bkB := bf.Transform(ka), bf.Transform(kb)
+	for ci, cfg := range []AEConfig{
+		{KeyBits: 64, CodeDim: 32, DecoderUnits: 16, MaxMismatch: 0.15},
+		{KeyBits: 128, CodeDim: 32, DecoderUnits: 16, MaxMismatch: 0.15},
+	} {
+		n := cfg.KeyBits
+		ae := TrainAE(cfg, 3, 60, rng.New(42))
+		src := rng.New(7)
+		for trial := 0; trial < 60; trial++ {
+			kb := src.Bits(n)
+			ka := make([]byte, n)
+			copy(ka, kb)
+			for f := 0; f < trial%(n/4+1); f++ {
+				ka[src.Intn(n)] ^= 1
+			}
+			bf := NewBloomFilter(n, []byte(fmt.Sprintf("salt-%d", trial%5)))
+			bkA, bkB := bf.Transform(ka), bf.Transform(kb)
 
-		yBob := ae.EncodeRaw(bkB)
-		if !sameFloats(yBob, scalarEncode(ae, bkB)) {
-			t.Fatalf("trial %d: encode differs from the scalar loop", trial)
+			yBob := ae.EncodeRaw(bkB)
+			if !sameFloats(yBob, scalarEncode(ae, bkB)) {
+				t.Fatalf("config %d trial %d: encode differs from the scalar loop", ci, trial)
+			}
+			yAlice := ae.encode(bkA, make([]float64, cfg.CodeDim))
+			h := make([]float64, len(yBob))
+			for i := range h {
+				h[i] = yBob[i] - yAlice[i]
+			}
+			if !sameFloats(ae.backproject(h), columnBackproject(ae, h)) {
+				t.Fatalf("config %d trial %d: backprojection differs from the column-strided loop", ci, trial)
+			}
+			if got, want := ae.correct(bkA, yBob), scalarCorrect(ae, bkA, yBob); string(got) != string(want) {
+				t.Fatalf("config %d trial %d (%d flips): corrected keys differ from the scalar oracle", ci, trial, trial%(n/4+1))
+			}
 		}
-		yAlice := ae.encode(bkA)
-		h := make([]float64, len(yBob))
-		for i := range h {
-			h[i] = yBob[i] - yAlice[i]
+	}
+}
+
+// TestTopIndicesTiedMatchesOracle pins candidate selection to the
+// used-index oracle where ties decide it. A code difference along one
+// code row gives every position the same |Wᵀh| (the encoder's entries
+// are ±1/√M), and a few rows give a handful of distinct values, each
+// shared by many positions. Special values (±0, ±Inf, NaN, −1) and
+// every k up to past the length are covered, and correct runs against
+// its oracle on the same code differences.
+func TestTopIndicesTiedMatchesOracle(t *testing.T) {
+	cfg := AEConfig{KeyBits: 64, CodeDim: 32, DecoderUnits: 16, MaxMismatch: 0.15}
+	ae := TrainAE(cfg, 2, 40, rng.New(5))
+	src := rng.New(6)
+	check := func(what string, xs []float64) {
+		t.Helper()
+		for k := 0; k <= len(xs)+1; k++ {
+			got := topIndices(xs, k, nil)
+			want := refTopIndices(xs, k, nil)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s k=%d: topIndices %v, oracle %v", what, k, got, want)
+			}
 		}
-		if !sameFloats(ae.backproject(h), columnBackproject(ae, h)) {
-			t.Fatalf("trial %d: backprojection differs from the column-strided loop", trial)
+	}
+	for rows := 1; rows <= 3; rows++ {
+		for trial := 0; trial < 8; trial++ {
+			h := make([]float64, cfg.CodeDim)
+			for r := 0; r < rows; r++ {
+				h[src.Intn(cfg.CodeDim)] = float64(1 + src.Intn(2))
+			}
+			absBP, _ := ae.features(h)
+			check(fmt.Sprintf("%d-row h, trial %d", rows, trial), append([]float64(nil), absBP...))
+
+			bkA := src.Bits(cfg.KeyBits)
+			yBob := ae.encode(bkA, make([]float64, cfg.CodeDim))
+			for i, v := range h {
+				yBob[i] += v
+			}
+			if got, want := ae.correct(bkA, yBob), scalarCorrect(ae, bkA, yBob); string(got) != string(want) {
+				t.Fatalf("%d-row h, trial %d: corrected keys differ from the scalar oracle", rows, trial)
+			}
 		}
-		if got, want := ae.correct(bkA, yBob), scalarCorrect(ae, bkA, yBob); string(got) != string(want) {
-			t.Fatalf("trial %d: corrected keys differ from the scalar oracle", trial)
+	}
+	specials := []float64{0, math.Copysign(0, -1), 1, 1, 2, math.Inf(1), math.Inf(-1), math.NaN(), -1, -0.5, 0.5}
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 1+src.Intn(20))
+		for i := range xs {
+			xs[i] = specials[src.Intn(len(specials))]
 		}
+		check(fmt.Sprintf("specials %v", xs), xs)
 	}
 }
 

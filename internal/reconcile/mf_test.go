@@ -20,8 +20,8 @@ func TestMatchedFilterBound(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			kb := src.Bits(64)
 			ka := flipBits(kb, flips, src)
-			yB := ae.encode(kb)
-			yA := ae.encode(ka)
+			yB := ae.EncodeRaw(kb)
+			yA := ae.EncodeRaw(ka)
 			h := make([]float64, len(yB))
 			var hn float64
 			for j := range h {

@@ -22,9 +22,12 @@ const MACSize = 16
 // messages carry: HMAC-SHA256 keyed with the sender's (Bloom-domain) key
 // material, truncated to MACSize bytes.
 func MAC(keyBits []byte, message []byte) []byte {
-	mac := hmac.New(sha256.New, packKeyed(keyBits))
+	key := packKeyed(keyBits)
+	mac := hmac.New(sha256.New, key)
 	mac.Write(message)
-	return mac.Sum(nil)[:MACSize]
+	tag := mac.Sum(nil)[:MACSize]
+	Wipe(key)
+	return tag
 }
 
 // VerifyMAC checks a MAC in constant time.
@@ -32,6 +35,8 @@ func VerifyMAC(keyBits, message, tag []byte) bool {
 	return hmac.Equal(MAC(keyBits, message), tag)
 }
 
+// packKeyed packs 0/1 key bits eight to a byte, MSB first. Its output is
+// key material: callers wipe it once it is dead.
 func packKeyed(bits []byte) []byte {
 	out := make([]byte, (len(bits)+7)/8)
 	for i, b := range bits {
@@ -52,8 +57,10 @@ func packKeyed(bits []byte) []byte {
 // image forces a full guess-and-hash per candidate. Like all key
 // images, the result must be wiped once the MAC is computed.
 func BlockImage(block, salt []byte) []byte {
+	packed := packKeyed(block)
 	mac := hmac.New(sha256.New, salt)
-	mac.Write(packKeyed(block))
+	mac.Write(packed)
+	Wipe(packed)
 	sum := mac.Sum(nil)
 	out := make([]byte, 8*len(sum))
 	for i, b := range sum {
@@ -61,6 +68,7 @@ func BlockImage(block, salt []byte) []byte {
 			out[i*8+j] = b >> uint(7-j) & 1
 		}
 	}
+	Wipe(sum)
 	return out
 }
 

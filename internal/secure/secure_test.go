@@ -2,6 +2,8 @@ package secure
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,6 +25,42 @@ func TestMACRoundTrip(t *testing.T) {
 	key[0] ^= 1
 	if VerifyMAC(key, msg, tag) {
 		t.Fatal("wrong key accepted")
+	}
+}
+
+// TestMACAndImageKnownAnswer pins MAC and BlockImage to HMAC-SHA256
+// computed here over the packed bits, for keys shorter and longer than
+// the hash's block (the long one is hashed down inside HMAC), and checks
+// that neither touches its input bits.
+func TestMACAndImageKnownAnswer(t *testing.T) {
+	src := rand.New(rand.NewSource(3))
+	for _, n := range []int{8, 13, 128, 600} {
+		bits := make([]byte, n)
+		packed := make([]byte, (n+7)/8)
+		for i := range bits {
+			bits[i] = byte(src.Intn(2))
+			packed[i/8] |= bits[i] << uint(7-i%8)
+		}
+		orig := append([]byte(nil), bits...)
+		msg, salt := []byte("confirm"), []byte("salt")
+
+		h := hmac.New(sha256.New, packed)
+		h.Write(msg)
+		if got, want := MAC(bits, msg), h.Sum(nil)[:MACSize]; !bytes.Equal(got, want) {
+			t.Fatalf("%d bits: MAC %x, want %x", n, got, want)
+		}
+		h = hmac.New(sha256.New, salt)
+		h.Write(packed)
+		sum := h.Sum(nil)
+		img := BlockImage(bits, salt)
+		for i := range img {
+			if img[i] != sum[i/8]>>uint(7-i%8)&1 {
+				t.Fatalf("%d bits: image bit %d differs from the HMAC expansion", n, i)
+			}
+		}
+		if len(img) != 8*len(sum) || !bytes.Equal(bits, orig) {
+			t.Fatalf("%d bits: image length %d or input bits changed", n, len(img))
+		}
 	}
 }
 

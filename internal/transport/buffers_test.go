@@ -115,6 +115,24 @@ func TestTCPConnLifetimeAllocs(t *testing.T) {
 	}
 }
 
+// TestTCPLargeFrameAllocs: a frame larger than the resting read buffer
+// costs its own assembly buffer and payload on each end, and the resting
+// buffer is kept aside for the next small frame rather than made again.
+func TestTCPLargeFrameAllocs(t *testing.T) {
+	client, server := dialAccept(t, listenTCP(t))
+	defer func() { _ = client.Close(); _ = server.Close() }()
+	msg := make([]byte, 4096)
+	small := make([]byte, 100)
+	roundTrip(t, client, server, msg)
+	allocs := testing.AllocsPerRun(50, func() {
+		roundTrip(t, client, server, msg)
+		roundTrip(t, client, server, small)
+	})
+	if allocs > 6 {
+		t.Fatalf("a 4 KiB and a 100-byte TCP round trip allocate %.0f times, want at most 6", allocs)
+	}
+}
+
 // TestUDPRoundTripAllocs: a datagram costs its own bytes, not a fresh
 // 64 KiB receive buffer.
 func TestUDPRoundTripAllocs(t *testing.T) {

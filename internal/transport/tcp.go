@@ -31,6 +31,7 @@ type TCPConn struct {
 
 	rmu  sync.Mutex // guards the read state below
 	rbuf []byte     // unconsumed stream bytes; a partial frame survives a deadline
+	rest []byte     // the resting-size rbuf, kept aside while a larger frame is assembled
 
 	timeout time.Duration
 	once    sync.Once
@@ -39,7 +40,8 @@ type TCPConn struct {
 // tcpReadBuf is rbuf's resting capacity. Every frame of a
 // key-establishment session fits it (messages average about 70 bytes,
 // the largest about 330). A larger frame grows rbuf to exactly its own
-// total, and rbuf drops back to this size once that frame is consumed.
+// total, and rbuf drops back to the resting buffer, kept aside
+// meanwhile, once that frame is consumed.
 const tcpReadBuf = 512
 
 // tcpWriteKeep bounds the frame buffer a connection keeps between sends:
@@ -110,7 +112,7 @@ func (c *TCPConn) RecvTimeout(d time.Duration) ([]byte, error) {
 			// the connection so both ends see a clean ErrClosed next.
 			// Dropping the buffer matters: later calls must hit the closed
 			// socket, not re-decode the same bad frame forever.
-			c.rbuf = nil
+			c.rbuf, c.rest = nil, nil
 			_ = c.Close()
 			return nil, err
 		}
@@ -120,7 +122,7 @@ func (c *TCPConn) RecvTimeout(d time.Duration) ([]byte, error) {
 				// rbuf was grown to exactly the frame just consumed, so
 				// nothing follows it; do not pin that size for the
 				// connection's life.
-				c.rbuf = nil
+				c.rbuf, c.rest = c.rest, nil
 			}
 			return payload, nil
 		}
@@ -149,6 +151,9 @@ func (c *TCPConn) readRoom() []byte {
 		}
 	}
 	if cap(c.rbuf) < want {
+		if cap(c.rbuf) == tcpReadBuf {
+			c.rest = c.rbuf[:0]
+		}
 		c.rbuf = append(make([]byte, 0, want), c.rbuf...)
 	}
 	return c.rbuf[len(c.rbuf):cap(c.rbuf)]
